@@ -1,53 +1,78 @@
 #include "logic/minimize.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace rtcad {
 namespace {
 
-struct CubeHash {
-  std::size_t operator()(const Cube& c) const {
-    return std::hash<std::uint64_t>{}(c.care * 0x9e3779b97f4a7c15ull ^
-                                      c.value);
+/// OFF minterms of `f` in increasing order: the complement of ON ∪ DC,
+/// read one 64-bit word of the table at a time.
+std::vector<std::uint32_t> off_minterms(const TruthTable& f) {
+  const std::vector<std::uint64_t>& on = f.on_set().words();
+  const std::vector<std::uint64_t>& dc = f.dc_set().words();
+  const std::uint64_t tail =
+      f.size() < 64 ? (std::uint64_t{1} << f.size()) - 1 : ~std::uint64_t{0};
+  std::vector<std::uint32_t> off;
+  for (std::size_t w = 0; w < on.size(); ++w) {
+    for (std::uint64_t bits = ~(on[w] | dc[w]) & tail; bits;
+         bits &= bits - 1) {
+      off.push_back(
+          static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits)));
+    }
   }
-};
+  return off;
+}
 
 }  // namespace
 
 std::vector<Cube> prime_implicants(const TruthTable& f) {
   const int n = f.nvars();
-  // Level 0: all ON and DC minterms as full-care cubes.
-  std::unordered_set<Cube, CubeHash> current;
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    if (f.is_on(m) || f.is_dc(m)) current.insert(Cube::minterm(m, n));
-  }
-
-  std::vector<Cube> primes;
-  while (!current.empty()) {
-    std::unordered_set<Cube, CubeHash> next;
-    std::unordered_set<Cube, CubeHash> merged;
-    // Group by care mask; only same-care cubes can QM-merge.
-    std::vector<Cube> cubes(current.begin(), current.end());
-    std::sort(cubes.begin(), cubes.end(), [](const Cube& a, const Cube& b) {
-      return a.care != b.care ? a.care < b.care : a.value < b.value;
-    });
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      for (std::size_t j = i + 1;
-           j < cubes.size() && cubes[j].care == cubes[i].care; ++j) {
-        const std::uint64_t diff = cubes[i].value ^ cubes[j].value;
-        if (__builtin_popcountll(diff) == 1) {
-          next.insert(Cube{cubes[i].care & ~diff, cubes[i].value & ~diff});
-          merged.insert(cubes[i]);
-          merged.insert(cubes[j]);
-        }
+  const std::uint64_t all_vars = (std::uint64_t{1} << n) - 1;
+  // Invariant: `primes` holds exactly the primes of the function that is
+  // 1 everywhere except on the OFF minterms processed so far; no cube in
+  // it contains another.
+  std::vector<Cube> primes{Cube::tautology()};
+  std::vector<Cube> split;
+  // absorbers[v]: care masks, minus v, of the kept cubes whose only
+  // literal disagreeing with the current OFF minterm is on variable v.
+  std::vector<std::vector<std::uint64_t>> absorbers(n);
+  for (const std::uint32_t m : off_minterms(f)) {
+    split.clear();
+    for (auto& bucket : absorbers) bucket.clear();
+    std::size_t kept = 0;
+    for (const Cube& c : primes) {
+      const std::uint64_t clash = (c.value ^ m) & c.care;
+      if (clash == 0) {
+        split.push_back(c);
+        continue;
+      }
+      if ((clash & (clash - 1)) == 0)
+        absorbers[__builtin_ctzll(clash)].push_back(c.care & ~clash);
+      primes[kept++] = c;
+    }
+    primes.resize(kept);
+    // c contains m, so c minus m is covered by the cubes c·l_v, one per
+    // free variable v, with l_v the literal disagreeing with m. Two such
+    // cubes never contain one another; a kept cube u contains c·l_v only
+    // if l_v is u's one literal disagreeing with m and u's other literals
+    // (which agree with m, as all of c's do) are among c's.
+    for (const Cube& c : split) {
+      for (std::uint64_t free = all_vars & ~c.care; free; free &= free - 1) {
+        const int v = __builtin_ctzll(free);
+        const bool absorbed = std::any_of(
+            absorbers[v].begin(), absorbers[v].end(),
+            [&](std::uint64_t rest) { return (rest & ~c.care) == 0; });
+        if (absorbed) continue;
+        const std::uint64_t bit = std::uint64_t{1} << v;
+        primes.push_back(Cube{c.care | bit, c.value | (~m & bit)});
       }
     }
-    for (const auto& c : cubes) {
-      if (!merged.count(c)) primes.push_back(c);
-    }
-    current = std::move(next);
   }
+  std::sort(primes.begin(), primes.end(), [](const Cube& a, const Cube& b) {
+    const int la = a.num_literals(), lb = b.num_literals();
+    if (la != lb) return la > lb;
+    return a.care != b.care ? a.care < b.care : a.value < b.value;
+  });
   return primes;
 }
 
@@ -209,29 +234,6 @@ Cover minimize(const TruthTable& f, const MinimizeOptions& opts) {
   for (auto idx : solver.solve()) out.cubes.push_back(primes[idx]);
   RTCAD_ENSURES(f.is_implemented_by(out));
   return out;
-}
-
-bool single_cube_cover(const TruthTable& f, Cube* out) {
-  // Supercube of the ON set: drop every variable on which ON disagrees.
-  bool any = false;
-  std::uint64_t all_ones = ~std::uint64_t{0};
-  std::uint64_t all_zeros = ~std::uint64_t{0};
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    if (!f.is_on(m)) continue;
-    any = true;
-    all_ones &= m;
-    all_zeros &= ~static_cast<std::uint64_t>(m);
-  }
-  if (!any) return false;
-  const std::uint64_t mask =
-      f.nvars() == 64 ? ~std::uint64_t{0}
-                      : (std::uint64_t{1} << f.nvars()) - 1;
-  Cube c{(all_ones | all_zeros) & mask, all_ones & mask};
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    if (f.is_off(m) && c.covers_minterm(m)) return false;
-  }
-  *out = c;
-  return true;
 }
 
 }  // namespace rtcad

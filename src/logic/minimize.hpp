@@ -1,7 +1,17 @@
-// Exact two-level minimization (Quine-McCluskey prime generation followed by
-// unate covering). Sized for asynchronous controller next-state functions:
+// Exact two-level minimization: prime generation followed by unate
+// covering. Sized for asynchronous controller next-state functions:
 // exact primes matter because speed-independent covers must respect
 // monotonicity constraints checked by the synthesizer downstream.
+//
+// Primes are generated from the OFF set, not from the ON and DC
+// minterms (Nelson's theorem): start from the tautology and remove the
+// OFF minterms one at a time. Removing minterm m replaces every cube c
+// that contains m by the cubes c·l_v, one per variable v free in c, where
+// l_v is the literal of v that disagrees with m; the new cubes that an
+// untouched cube contains are dropped. What remains is exactly the set
+// of primes of ON ∪ DC. The cost scales with the OFF minterms times the
+// primes, so the don't-care space a reduced state graph leaves behind
+// (every unreachable code) costs nothing to enumerate.
 #pragma once
 
 #include <vector>
@@ -19,16 +29,21 @@ struct MinimizeOptions {
   std::size_t exact_limit = 200000;
 };
 
-/// All prime implicants of (ON ∪ DC).
+/// All prime implicants of (ON ∪ DC), including primes that cover only
+/// DC minterms, in the canonical order: literal count descending, then
+/// `care` ascending, then `value` ascending.
+///
+/// The order is a contract, not a detail. The covering step breaks ties
+/// by prime index (first essential, first greedy pick, first branch), so
+/// a different order can select a different, equally small cover and
+/// change every netlist, golden and cache key downstream. It is the order
+/// Quine-McCluskey merging emits (level by level, each level sorted by
+/// care then value), which the tests keep as the reference.
 std::vector<Cube> prime_implicants(const TruthTable& f);
 
 /// Minimum(ish) SOP cover of f: covers all ON minterms, avoids all OFF
 /// minterms, may use DC minterms freely. Cube count is minimized first,
 /// then literal count among selected primes.
 Cover minimize(const TruthTable& f, const MinimizeOptions& opts = {});
-
-/// Single-cube cover if one exists (the supercube of ON, if it avoids OFF).
-/// Used by the domino mapper which prefers single-AND implementations.
-bool single_cube_cover(const TruthTable& f, Cube* out);
 
 }  // namespace rtcad

@@ -99,9 +99,8 @@ SynthResult synthesize_si(const StateGraph& sg, const SynthOptions& opts) {
       // Purely combinational: the set cover doubles as the function (its
       // complement is the reset region by construction when no state
       // holding exists).
-      const Cover cover = minimize(fns.next);
-      result.equations[name] = name + " = " + cover.to_string(names);
-      mapper.map_cover_into(cover, signal_net[s], name);
+      result.equations[name] = name + " = " + next_cover.to_string(names);
+      mapper.map_cover_into(next_cover, signal_net[s], name);
       continue;
     }
     const int set_net = mapper.map_cover(set_cover, name + "_set");

@@ -1,7 +1,9 @@
 // Next-state and set/reset function derivation from a (possibly
 // concurrency-reduced) state graph. Unreachable codes are don't-cares —
 // which is why relative timing helps: every pruned state is a freebie for
-// the minimizer (optimization mechanism #1 of Section 3).
+// the minimizer (optimization mechanism #1 of Section 3). Only reachable
+// codes are ever ON or OFF, and the minimizer generates primes from the
+// OFF set, so the don't-care space costs it nothing to enumerate either.
 #pragma once
 
 #include "logic/truthtable.hpp"

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "logic/cube.hpp"
 #include "logic/minimize.hpp"
 #include "logic/truthtable.hpp"
@@ -7,6 +10,53 @@
 
 namespace rtcad {
 namespace {
+
+struct CubeHash {
+  std::size_t operator()(const Cube& c) const {
+    return std::hash<std::uint64_t>{}(c.care * 0x9e3779b97f4a7c15ull ^
+                                      c.value);
+  }
+};
+
+/// Reference prime generator: Quine-McCluskey merging from every ON and
+/// DC minterm. It emits primes level by level (literal count descending),
+/// each level sorted by (care, value) — the canonical order
+/// prime_implicants() promises.
+std::vector<Cube> qm_prime_implicants(const TruthTable& f) {
+  const int n = f.nvars();
+  // Level 0: all ON and DC minterms as full-care cubes.
+  std::unordered_set<Cube, CubeHash> current;
+  for (std::uint32_t m = 0; m < f.size(); ++m) {
+    if (f.is_on(m) || f.is_dc(m)) current.insert(Cube::minterm(m, n));
+  }
+
+  std::vector<Cube> primes;
+  while (!current.empty()) {
+    std::unordered_set<Cube, CubeHash> next;
+    std::unordered_set<Cube, CubeHash> merged;
+    // Group by care mask; only same-care cubes can QM-merge.
+    std::vector<Cube> cubes(current.begin(), current.end());
+    std::sort(cubes.begin(), cubes.end(), [](const Cube& a, const Cube& b) {
+      return a.care != b.care ? a.care < b.care : a.value < b.value;
+    });
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      for (std::size_t j = i + 1;
+           j < cubes.size() && cubes[j].care == cubes[i].care; ++j) {
+        const std::uint64_t diff = cubes[i].value ^ cubes[j].value;
+        if (__builtin_popcountll(diff) == 1) {
+          next.insert(Cube{cubes[i].care & ~diff, cubes[i].value & ~diff});
+          merged.insert(cubes[i]);
+          merged.insert(cubes[j]);
+        }
+      }
+    }
+    for (const auto& c : cubes) {
+      if (!merged.count(c)) primes.push_back(c);
+    }
+    current = std::move(next);
+  }
+  return primes;
+}
 
 TEST(Cube, MintermAndCoverage) {
   const Cube c = Cube::minterm(0b101, 3);
@@ -143,20 +193,6 @@ TEST(Minimize, ClassicFourVariable) {
   EXPECT_LE(c.cubes.size(), 4u);
 }
 
-TEST(Minimize, SingleCubeCover) {
-  TruthTable f(3);
-  f.set_on(0b110);
-  f.set_on(0b111);
-  Cube c;
-  ASSERT_TRUE(single_cube_cover(f, &c));
-  EXPECT_EQ(c.num_literals(), 2);  // x1 x2
-  // Make it impossible: spread the ON set so the supercube hits OFF.
-  TruthTable g(2);
-  g.set_on(0b00);
-  g.set_on(0b11);
-  EXPECT_FALSE(single_cube_cover(g, &c));
-}
-
 class MinimizeRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(MinimizeRandom, CoverIsCorrectAndIrredundant) {
@@ -205,6 +241,77 @@ TEST(Primes, AllPrimesOfSmallFunction) {
   const auto primes = prime_implicants(f);
   EXPECT_EQ(primes.size(), 2u);
   for (const auto& p : primes) EXPECT_EQ(p.num_literals(), 1);
+}
+
+TEST(Primes, MatchQuineMcCluskeyOnRandomFunctions) {
+  // Same vector as the reference, order included, across sizes and OFF
+  // densities: sparse OFF (the reduced-state-graph case, mostly DC) to
+  // dense. Non-OFF minterms split evenly between ON and DC.
+  for (const double off_density : {0.05, 0.2, 0.5}) {
+    for (int n = 0; n <= 10; ++n) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
+        TruthTable f(n);
+        for (std::uint32_t m = 0; m < f.size(); ++m) {
+          if (rng.chance(off_density)) continue;
+          if (rng.chance(0.5))
+            f.set_on(m);
+          else
+            f.set_dc(m);
+        }
+        EXPECT_EQ(prime_implicants(f), qm_prime_implicants(f))
+            << "n=" << n << " off_density=" << off_density
+            << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Primes, MatchQuineMcCluskeyOnEdgeCases) {
+  // n = 0: the constant functions.
+  TruthTable zero(0);
+  EXPECT_TRUE(prime_implicants(zero).empty());
+  TruthTable one(0);
+  one.set_on(0);
+  EXPECT_EQ(prime_implicants(one), std::vector<Cube>{Cube::tautology()});
+
+  // All OFF: no primes.
+  TruthTable all_off(4);
+  EXPECT_TRUE(prime_implicants(all_off).empty());
+  EXPECT_EQ(prime_implicants(all_off), qm_prime_implicants(all_off));
+
+  // No OFF minterm: the tautology is the only prime.
+  TruthTable no_off(4);
+  for (std::uint32_t m = 0; m < no_off.size(); ++m) {
+    if (m % 3 == 0)
+      no_off.set_dc(m);
+    else
+      no_off.set_on(m);
+  }
+  EXPECT_EQ(prime_implicants(no_off), std::vector<Cube>{Cube::tautology()});
+  EXPECT_EQ(prime_implicants(no_off), qm_prime_implicants(no_off));
+
+  // A single OFF minterm m: one single-literal prime per variable, each
+  // the literal disagreeing with m.
+  TruthTable single_off(4);
+  for (std::uint32_t m = 0; m < single_off.size(); ++m)
+    if (m != 0b0101) single_off.set_on(m);
+  const std::vector<Cube> singles = prime_implicants(single_off);
+  ASSERT_EQ(singles.size(), 4u);
+  for (const Cube& p : singles) {
+    EXPECT_EQ(p.num_literals(), 1);
+    EXPECT_FALSE(p.covers_minterm(0b0101));
+  }
+  EXPECT_EQ(singles, qm_prime_implicants(single_off));
+
+  // ON = {00}, DC = {11}: the prime ab covers only a DC minterm and must
+  // still be generated (the exact-cover guard counts every prime).
+  TruthTable dc_only(2);
+  dc_only.set_on(0b00);
+  dc_only.set_dc(0b11);
+  const std::vector<Cube> primes = prime_implicants(dc_only);
+  EXPECT_EQ(primes, (std::vector<Cube>{Cube{0b11, 0b00}, Cube{0b11, 0b11}}));
+  EXPECT_EQ(primes, qm_prime_implicants(dc_only));
 }
 
 }  // namespace

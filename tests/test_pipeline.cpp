@@ -172,6 +172,34 @@ TEST(FlowPipeline, SiBackEndSkipsSizingAndVerifies) {
     EXPECT_NE(s.name, "transistor sizing");
 }
 
+TEST(FlowPipeline, GeneratedPipeline12RunsTheWholeFlowInBothModes) {
+  // 8,192 states over 13 signals. The pinned sizes are also what
+  // Quine-McCluskey prime generation produces. Conformance is reported,
+  // not asserted here.
+  const Stg spec = pipeline_stg(12);
+  const struct {
+    FlowOptions opts;
+    int literals;
+    int transistors;
+    std::size_t constraints;
+  } cases[] = {
+      {si_opts(), 45, 250, 0},
+      {rt_opts(), 42, 175, 4},
+  };
+  for (const auto& c : cases) {
+    FlowOptions full = c.opts;
+    full.stop_after = "verify-netlist";
+    const PipelineResult r = FlowPipeline::standard(full.mode).run(spec, full);
+    ASSERT_TRUE(r.ok()) << r.error->message;
+    EXPECT_EQ(r.flow.states, 8192);
+    EXPECT_EQ(r.flow.literals(), c.literals);
+    EXPECT_EQ(r.flow.netlist().transistor_count(), c.transistors);
+    EXPECT_EQ(r.flow.rt ? r.flow.rt->constraints.size() : 0, c.constraints);
+    ASSERT_TRUE(r.flow.conformance.has_value());
+    EXPECT_TRUE(r.flow.conformance->ran);
+  }
+}
+
 TEST(FlowPipeline, MatchesRunFlowOnRepresentativeSpecs) {
   // One spec per interesting path: plain SI, SI with state-signal
   // insertion, RT with ring-environment escalation, RT with CSC holding
