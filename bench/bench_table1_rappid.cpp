@@ -6,7 +6,7 @@
 // (`--to verify-netlist`: synthesis, technology mapping, sizing,
 // composed-model conformance) and emits a `BENCH_JSON:` line with the
 // end-to-end wall time and the mapped netlist size, collected by the CI
-// bench artifact alongside bench_fig2_flow's line.
+// bench artifact alongside bench_table2_fifo's lines.
 #include <chrono>
 #include <cstdio>
 

@@ -7,7 +7,7 @@
 //
 //  1. The three-level thread budget. The repo has three independent,
 //     individually deterministic levels of parallelism — corpus (batch
-//     items), graph (level-synchronous BFS inside one state-graph build),
+//     items), graph (the excitation sweep inside one state-graph build),
 //     candidate (CSC trigger pairs / ring-environment sweeps). Before
 //     this context existed the knobs were scattered across
 //     BatchOptions::threads, SgOptions::threads, EncodeOptions::threads
@@ -46,7 +46,7 @@ class MetricsRegistry;  // flow/metrics.hpp
 /// every level, as before.
 struct ThreadBudget {
   int corpus = 0;     ///< batch items in flight (0 = hardware concurrency)
-  int graph = -1;     ///< workers inside one state-graph build
+  int graph = -1;     ///< excitation-sweep workers per state-graph build
   int candidate = -1; ///< workers in the CSC search / assumption rounds
 
   /// Resolve one level against the scattered option it governs.

@@ -75,8 +75,8 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
   // worker 0, so a 1-thread pool is the plain sequential loop.
   WorkPool pool(WorkPool::effective_threads(opts.threads));
   // Candidate graph builds are always sequential: with candidate-level
-  // workers the core budget is already spent (nesting the graph-level
-  // builder would oversubscribe), and without them the candidate graphs
+  // workers the core budget is already spent (nesting graph-level workers
+  // would oversubscribe), and without them the candidate graphs
   // are far too small to amortize a per-build worker pool — the churn of
   // spawning one per trigger pair would dominate the search. Only the
   // per-round build of the accepted spec below keeps the caller's

@@ -15,7 +15,7 @@
 // candidates independently on private scratch graphs, and a sequential
 // merge replays the selection in enumeration order, so the chosen signal,
 // the inserted STG, the log, and any error are byte-identical at every
-// thread count — the same contract as the parallel state-graph builder.
+// thread count — the contract every parallel engine in the repo keeps.
 #pragma once
 
 #include <string>

@@ -35,16 +35,15 @@ struct SgOptions {
   /// report runaway specs per item instead of aborting a whole corpus, so
   /// the check must stay cheap and exact.
   std::size_t max_states = std::size_t{1} << 20;
-  /// Worker threads for the level-synchronous parallel exploration; 1 keeps
-  /// the sequential loop, 0 picks hardware concurrency. Any value yields a
-  /// byte-identical graph (ids, CSR order, errors) — see build(). Batch
-  /// drivers split cores between corpus-level parallelism (their own pool)
-  /// and this graph-level setting.
+  /// Worker threads for build()'s excitation sweep, used only on graphs of
+  /// at least 32k edges; 1 keeps it sequential, 0 picks hardware
+  /// concurrency. Exploration and the transpose always run on the calling
+  /// thread, and any value yields a byte-identical graph. Batch drivers
+  /// split cores between corpus-level parallelism (their own pool) and this
+  /// graph-level setting.
   int threads = 1;
-  /// Optional cooperative cancellation, checked once per BFS round (both
-  /// exploration paths, at the same round boundaries). Not owned; must
-  /// outlive the build. A token cancelled before the build raises a
-  /// byte-identical FlowCancelled at any thread count.
+  /// Optional cooperative cancellation, checked once per BFS round. Not
+  /// owned; must outlive the build.
   const CancelToken* cancel = nullptr;
 };
 
@@ -106,16 +105,11 @@ class StateGraph {
   /// The exploration loop is the flow's hot path: visited markings live in
   /// an open-addressed table, firing reuses scratch buffers, and the BFS
   /// emits edges in CSR order directly, so cost is ~O(edges) with no
-  /// per-edge heap allocation (see stategraph.cpp).
-  ///
-  /// With `opts.threads > 1` exploration is level-synchronous: each BFS
-  /// round partitions the frontier across a persistent worker pool, workers
-  /// expand into per-chunk discovery buffers against a shared striped
-  /// visited table, and a sequential merge assigns ids in
-  /// (parent-id, transition-index) order — the exact order the sequential
-  /// loop discovers states in. State numbering, CSR layout, golden JSON and
-  /// every error (which one fires and its message) are therefore
-  /// byte-identical at any thread count.
+  /// per-edge heap allocation (see stategraph.cpp). Exploration and the
+  /// counting-sort transpose run on the calling thread; only the excitation
+  /// sweep fans out, on `opts.threads` workers once the graph has 32k
+  /// edges. Each state writes only its own masks there, so the graph and
+  /// any error are byte-identical at every thread count.
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }
@@ -217,12 +211,10 @@ class StateGraph {
   }
 
   /// BFS level sizes from construction: level_sizes()[d] states at distance
-  /// d from the initial state. Identical for sequential and parallel builds
-  /// (the levels are a property of the graph, not the schedule). Empty for
-  /// graphs produced by filtered().
+  /// d from the initial state. Empty for graphs produced by filtered().
   const std::vector<int>& level_sizes() const { return level_sizes_; }
   int num_levels() const { return static_cast<int>(level_sizes_.size()); }
-  /// Widest BFS frontier — the available graph-level parallelism.
+  /// Widest BFS frontier.
   int peak_frontier() const {
     int peak = 0;
     for (int n : level_sizes_) peak = std::max(peak, n);
@@ -230,9 +222,10 @@ class StateGraph {
   }
 
   /// Memory gauges for big-graph diagnosability (reported in the
-  /// reachability stage trace and BENCH_JSON). Both are exact properties of
-  /// the graph, identical at any thread count. A filtered graph reports the
-  /// shared root arena's bytes — that is what actually stays resident.
+  /// reachability stage trace and perfbench's `sg.arena_mb` / `sg.csr_mb`).
+  /// Both are exact properties of the graph, identical at any thread count.
+  /// A filtered graph reports the shared root arena's bytes — that is what
+  /// actually stays resident.
   std::size_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
   std::size_t csr_bytes() const {
     return (out_row_.size() + edge_transition_.size() +
@@ -243,17 +236,19 @@ class StateGraph {
                sizeof(std::uint64_t);
   }
 
-  /// Recompute the derived structures in place on `threads` workers —
-  /// build() already runs both; public so benches and differential tests
-  /// can time and cross-check the parallel passes in isolation. Results are
-  /// byte-identical at any thread count: the transpose restores the exact
-  /// sequential per-target source order, and the excitation sweep writes
-  /// each state's masks from that state's own edges only (the silent-ε
-  /// closure stays sequential). Unlike build() — which falls back to the
-  /// sequential loops below a size floor — an explicit width here is
-  /// honored on any graph, so differentials can drive the parallel path on
-  /// small inputs.
+  /// Recompute the derived structures in place — build() and filtered()
+  /// run both; public so benches and differential tests can time and
+  /// cross-check the passes in isolation.
+  ///
+  /// The transpose is a sequential counting sort; `threads` is ignored and
+  /// kept only because perfbench's layer suite passes a width.
   void rebuild_reverse_csr(int threads = 1);
+  /// The excitation sweep on `threads` workers (0 picks hardware
+  /// concurrency). Unlike build(), which keeps graphs under 32k edges
+  /// sequential, an explicit width here is honored on any graph, so
+  /// differentials can drive the chunked sweep on small inputs. Each state
+  /// writes only its own masks (the silent-ε closure stays sequential), so
+  /// the result is byte-identical at any width.
   void recompute_excitation(int threads = 1);
 
  private:
@@ -277,24 +272,8 @@ class StateGraph {
 
   // Exploration phase of build(): fill states_/out CSR/level_sizes_ and the
   // per-state switching parities; v0 accumulates initial-value constraints.
-  /// One lazily-spawned WorkPool shared by the parallel exploration and the
-  /// post-exploration passes of a single build (defined in stategraph.cpp).
-  struct PoolHandle;
-
-  void explore_sequential(const SgOptions& opts,
-                          std::vector<std::uint64_t>* parity,
-                          std::vector<signed char>* v0);
-  void explore_parallel(const SgOptions& opts, int threads,
-                        std::vector<std::uint64_t>* parity,
-                        std::vector<signed char>* v0, PoolHandle* pool);
-
-  // With threads > 1 the passes chunk their sweeps across the shared pool;
-  // unless forced, inputs below a size floor fall back to the sequential
-  // loops (identical bytes, no distribution overhead on tiny graphs).
-  void build_reverse_csr(int threads, PoolHandle* pool,
-                         bool force_parallel = false);
-  void compute_excitation(int threads, PoolHandle* pool,
-                          bool force_parallel = false);
+  void explore(const SgOptions& opts, std::vector<std::uint64_t>* parity,
+               std::vector<signed char>* v0);
 };
 
 /// Full structural equality through the public API: states (marking, code),

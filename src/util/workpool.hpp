@@ -1,7 +1,7 @@
 // Persistent fixed-size worker pool, shared by every parallel engine in the
 // repo (corpus-level parallelism in flow/batchflow, graph-level parallelism
 // in sg/stategraph). The pool exists so that phase-structured algorithms —
-// a level-synchronous BFS runs one `run()` per frontier round — pay thread
+// the CSC search runs one `for_each_index()` per round — pay thread
 // creation once per pool, not once per phase.
 //
 // The calling thread is worker 0: a pool of size 1 spawns nothing and

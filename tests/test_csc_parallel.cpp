@@ -2,11 +2,10 @@
 // generation: candidate-level evaluation must be indistinguishable from
 // the sequential loop — same inserted signals, same STG bytes, same logs
 // and round statistics, same assumption sets, same error bytes — at every
-// thread count. Mirrors tests/test_sg_parallel.cpp, which enforces the
-// identical contract for the parallel state-graph builder; together they
-// are the teeth behind CI's --sg-threads/--csc-threads determinism
-// matrix. Runs in the clang ASan/UBSan and TSan jobs too (label:
-// parallel).
+// thread count. These are the teeth behind CI's --csc-threads
+// determinism matrix; tests/test_sg_parallel.cpp enforces the same
+// contract for the parallel excitation sweep. Runs in the clang
+// ASan/UBSan and TSan jobs too (label: parallel).
 #include <gtest/gtest.h>
 
 #include <string>

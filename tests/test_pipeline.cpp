@@ -347,9 +347,8 @@ TEST(FlowPipeline, PastDeadlineCancels) {
 }
 
 TEST(FlowPipeline, CancelReachesTheParallelEngines) {
-  // A pre-cancelled token must produce the same FlowCancelled through the
-  // parallel builder and the candidate search as through the sequential
-  // paths — the checks sit at the same round boundaries.
+  // A pre-cancelled token must produce the same FlowCancelled at any graph
+  // thread count and through the candidate search.
   CancelToken token;
   token.request_cancel();
   SgOptions seq;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sg/analysis.hpp"
 #include "sg/encode.hpp"
 #include "sg/stategraph.hpp"
@@ -9,6 +11,16 @@
 
 namespace rtcad {
 namespace {
+
+// The message of the SpecError a build raises, or "" if it succeeds.
+std::string build_error(const Stg& stg, const SgOptions& opts = {}) {
+  try {
+    StateGraph::build(stg, opts);
+    return "";
+  } catch (const SpecError& e) {
+    return e.what();
+  }
+}
 
 TEST(StateGraph, HandshakeHasFourStates) {
   const Stg stg = parse_stg_string(R"(
@@ -68,13 +80,39 @@ z- a+/1
 .marking { <z-,a+/1> }
 .end
 )");
-  EXPECT_THROW(StateGraph::build(stg), SpecError);
+  EXPECT_EQ(build_error(stg),
+            "STG 'bad' is inconsistent: signal 'a' requires contradictory "
+            "initial values");
 }
 
 TEST(StateGraph, StateLimitEnforced) {
   SgOptions opts;
   opts.max_states = 4;
   EXPECT_THROW(StateGraph::build(pipeline_stg(4), opts), SpecError);
+  opts.max_states = 100;
+  EXPECT_NE(build_error(pipeline_stg(10), opts).find("exceeds 100 states"),
+            std::string::npos);
+  // Degenerate cap: the initial state is always kept, and the first
+  // discovery raises the error.
+  opts.max_states = 0;
+  EXPECT_NE(build_error(celement_stg(), opts).find("exceeds 0 states"),
+            std::string::npos);
+}
+
+TEST(StateGraph, TokenBoundOverflowReported) {
+  // A cycle that pumps a token into a sink place on every lap overflows the
+  // 8-bit token bound after 255 laps; fire_into throws mid-exploration.
+  Stg pump("pump");
+  const int a = pump.add_signal("a", SignalKind::kOutput);
+  const int rise = pump.add_transition(Edge{a, Polarity::kRise});
+  const int fall = pump.add_transition(Edge{a, Polarity::kFall});
+  const int p0 = pump.add_place("p0", 1);
+  const int sink = pump.add_place("sink", 0);
+  pump.add_arc_pt(p0, rise);
+  pump.add_arc_tt(rise, fall);
+  pump.add_arc_tp(fall, p0);
+  pump.add_arc_tp(fall, sink);
+  EXPECT_NE(build_error(pump).find("token bound"), std::string::npos);
 }
 
 TEST(StateGraph, PipelineGrowth) {

@@ -32,8 +32,8 @@
 # the 6th to skip the sweep golden.
 # The 2nd/3rd arguments set --sg-threads / --csc-threads (both default
 # 1); every output must be byte-identical at every value — CI's
-# determinism matrix runs this across sg-threads × csc-threads and
-# compares every cell against the checked-in goldens. Any behaviour
+# determinism matrix runs this at csc-threads 1, 2 and 8 and compares
+# every cell against the checked-in goldens. Any behaviour
 # change in the flow must come with regenerated goldens in the same
 # commit.
 #
