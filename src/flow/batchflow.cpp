@@ -1,16 +1,15 @@
 #include "flow/batchflow.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 
 #include "flow/json.hpp"
 #include "flow/pipeline.hpp"
+#include "flow/shard.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 #include "util/strings.hpp"
-#include "util/workpool.hpp"
 
 namespace rtcad {
 namespace {
@@ -67,38 +66,22 @@ BatchItemResult to_batch_item(const std::string& name,
 }
 
 BatchResult run_batch(const std::vector<BatchSpec>& corpus,
-                      const BatchOptions& opts) {
-  FlowContext ctx;
-  ctx.budget.corpus = opts.threads;
-  return run_batch(corpus, ctx);
-}
-
-BatchResult run_batch(const std::vector<BatchSpec>& corpus,
                       const FlowContext& ctx) {
   const auto start = std::chrono::steady_clock::now();
-  BatchResult result;
-  result.items.resize(corpus.size());
-
-  const std::size_t requested = static_cast<std::size_t>(
-      WorkPool::effective_threads(ctx.budget.corpus));
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min(requested, corpus.size()));
-
-  // Work-stealing by atomic cursor (WorkPool::for_each_index): items are
-  // claimed in corpus order and written to their own slot, so aggregation
-  // is independent of scheduling.
-  WorkPool pool(static_cast<int>(workers));
-  pool.for_each_index(corpus.size(), [&corpus, &result, &ctx](std::size_t i) {
-    result.items[i] = run_batch_item(corpus[i], ctx);
+  std::vector<BatchItemResult> items(corpus.size());
+  fan_out(corpus.size(), ctx, [&corpus, &items, &ctx](std::size_t i) {
+    items[i] = run_batch_item(corpus[i], ctx);
   });
-
-  for (const auto& item : result.items) {
-    if (item.ok)
-      ++result.ok_count;
-    else
-      ++result.failed_count;
-  }
+  BatchResult result = tally(std::move(items));
   result.wall_ms = ms_since(start);
+  return result;
+}
+
+BatchResult tally(std::vector<BatchItemResult> items) {
+  BatchResult result;
+  result.items = std::move(items);
+  for (const BatchItemResult& item : result.items)
+    (item.ok ? result.ok_count : result.failed_count) += 1;
   return result;
 }
 

@@ -15,19 +15,16 @@
 //     synthesized netlists, so corpora can grow to thousands of specs.
 //
 // Thread-budget composition: three independent, individually deterministic
-// levels share the machine — corpus-level workers (BatchOptions::threads,
-// this engine), graph-level workers inside each state-graph build
-// (FlowOptions::sg.threads), and candidate-level workers inside the CSC
-// search and the ring-environment assumption rounds
-// (FlowOptions::encode.threads / rt.generate.threads). Total concurrency
-// is the product, so drivers split the core budget: many small specs want
-// the budget at corpus level, one huge spec wants it at graph/candidate
-// level. The CSC solver itself guards the worst nesting (candidate workers
-// force graph-level builds sequential), and because every level is
-// deterministic, any split yields byte-identical JSON. The single
-// arbitration point for all three levels is FlowContext::budget
-// (flow/context.hpp); the BatchOptions overload below is the
-// inherit-everything compatibility path.
+// levels share the machine — corpus-level workers (this engine),
+// graph-level workers inside each state-graph build, and candidate-level
+// workers inside the CSC search and the ring-environment assumption
+// rounds. Total concurrency is the product, so drivers split the core
+// budget: many small specs want the budget at corpus level, one huge spec
+// wants it at graph/candidate level. The CSC solver itself guards the
+// worst nesting (candidate workers force graph-level builds sequential),
+// and because every level is deterministic, any split yields
+// byte-identical JSON. The single arbitration point for all three levels
+// is FlowContext::budget (flow/context.hpp).
 #pragma once
 
 #include <cstddef>
@@ -83,11 +80,6 @@ struct BatchItemResult {
   double wall_ms = 0;  ///< excluded from canonical JSON
 };
 
-struct BatchOptions {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency().
-  int threads = 0;
-};
-
 struct BatchResult {
   std::vector<BatchItemResult> items;  ///< corpus order, not finish order
   int ok_count = 0;
@@ -95,26 +87,24 @@ struct BatchResult {
   double wall_ms = 0;  ///< whole-batch wall clock; excluded from JSON
 };
 
-/// Run the flow over every corpus entry. Never throws for per-spec reasons.
-/// Compatibility wrapper: equivalent to the FlowContext overload with
-/// `budget.corpus = opts.threads` and graph/candidate levels inherited
-/// from each item's own FlowOptions.
+/// Run the flow over every corpus entry. Never throws for per-spec
+/// reasons. Every item runs through FlowPipeline under this one context —
+/// `ctx.budget` arbitrates all three thread levels (corpus pool size, and
+/// graph/candidate overrides inside every item's flow), and `ctx.cancel`
+/// is shared, so one token stops the whole batch at round granularity
+/// (items observing it fail with kind "cancelled"; completed items keep
+/// their results).
 BatchResult run_batch(const std::vector<BatchSpec>& corpus,
-                      const BatchOptions& opts = {});
+                      const FlowContext& ctx = {});
 
-/// Staged-flow batch driver: every item runs through FlowPipeline under
-/// this one context — `ctx.budget` arbitrates all three thread levels
-/// (corpus pool size, and graph/candidate overrides inside every item's
-/// flow), and `ctx.cancel` is shared, so one token stops the whole batch
-/// at round granularity (items observing it fail with kind "cancelled";
-/// completed items keep their results).
-BatchResult run_batch(const std::vector<BatchSpec>& corpus,
-                      const FlowContext& ctx);
+/// The batch result over `items` (corpus order), with its ok/failed
+/// tally. `wall_ms` is the caller's to fill.
+BatchResult tally(std::vector<BatchItemResult> items);
 
 /// Run ONE corpus entry through the staged pipeline under `ctx` — the
 /// per-item kernel of run_batch, exported for drivers that interleave
 /// their own bookkeeping between items: the result cache
-/// (flow/cache.hpp), shard checkpointing (run_shard_resume), and the
+/// (flow/cache.hpp), shard checkpointing (run_shard), and the
 /// serving daemon (flow/service.hpp). Never throws for flow-level
 /// reasons; `wall_ms` is filled.
 BatchItemResult run_batch_item(const BatchSpec& item, const FlowContext& ctx);

@@ -9,7 +9,6 @@
 #include "util/fsio.hpp"
 #include "util/sha256.hpp"
 #include "util/strings.hpp"
-#include "util/workpool.hpp"
 
 namespace rtcad {
 namespace {
@@ -268,19 +267,12 @@ ResultCache::PruneStats ResultCache::prune(std::uintmax_t max_bytes,
 BatchResult run_batch_cached(const std::vector<BatchSpec>& corpus,
                              const FlowContext& ctx, const ResultCache& cache,
                              CacheStats* stats) {
-  BatchResult result;
-  result.items.resize(corpus.size());
+  std::vector<BatchItemResult> items(corpus.size());
   std::atomic<long long> hits{0}, misses{0}, stores{0};
-
-  const std::size_t requested = static_cast<std::size_t>(
-      WorkPool::effective_threads(ctx.budget.corpus));
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(requested, corpus.size()));
-  WorkPool pool(static_cast<int>(workers));
-  pool.for_each_index(corpus.size(), [&](std::size_t i) {
+  fan_out(corpus.size(), ctx, [&](std::size_t i) {
     const BatchSpec& spec = corpus[i];
     if (spec.load_error) {  // no spec bytes to key; run (trivially) fresh
-      result.items[i] = run_batch_item(spec, ctx);
+      items[i] = run_batch_item(spec, ctx);
       return;
     }
     const std::string key = cache_key(spec);
@@ -289,33 +281,27 @@ BatchResult run_batch_cached(const std::vector<BatchSpec>& corpus,
         throw Error("cache entry '" + cache.entry_path(key) +
                     "': stored name '" + hit->name +
                     "' does not match item '" + spec.name + "'");
-      result.items[i] = std::move(*hit);
+      items[i] = std::move(*hit);
       hits.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     misses.fetch_add(1, std::memory_order_relaxed);
-    result.items[i] = run_batch_item(spec, ctx);
+    items[i] = run_batch_item(spec, ctx);
     // Cancellation is wall-clock noise: which round observed the token
     // depends on machine speed, so those bytes must never be memoized.
-    const BatchItemResult& item = result.items[i];
+    const BatchItemResult& item = items[i];
     if (item.ok || item.diagnostic.kind != "cancelled") {
       cache.store(key, item);
       stores.fetch_add(1, std::memory_order_relaxed);
     }
   });
 
-  for (const auto& item : result.items) {
-    if (item.ok)
-      ++result.ok_count;
-    else
-      ++result.failed_count;
-  }
   if (stats) {
     stats->hits += hits.load();
     stats->misses += misses.load();
     stats->stores += stores.load();
   }
-  return result;
+  return tally(std::move(items));
 }
 
 }  // namespace rtcad

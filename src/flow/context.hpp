@@ -8,10 +8,10 @@
 //  1. The three-level thread budget. The repo has three independent,
 //     individually deterministic levels of parallelism — corpus (batch
 //     items), graph (the excitation sweep inside one state-graph build),
-//     candidate (CSC trigger pairs / ring-environment sweeps). Before
-//     this context existed the knobs were scattered across
-//     BatchOptions::threads, SgOptions::threads, EncodeOptions::threads
-//     and GenerateOptions::threads; ThreadBudget is the single place a
+//     candidate (CSC trigger pairs / ring-environment sweeps). The
+//     graph and candidate knobs are also per-stage options
+//     (SgOptions::threads, EncodeOptions::threads,
+//     GenerateOptions::threads); ThreadBudget is the single place a
 //     driver splits the machine, and the pipeline applies it to every
 //     stage consistently (see the arbitration rule on ThreadBudget).
 //
@@ -40,10 +40,9 @@ class MetricsRegistry;  // flow/metrics.hpp
 /// rule: a non-negative level OVERRIDES the corresponding scattered
 /// option everywhere in the flow (sg.threads, encode.threads,
 /// generate.threads); -1 inherits whatever the per-stage options say.
-/// The compatibility wrappers (`run_flow`, `run_batch(corpus, opts)`)
-/// use inherit-everything contexts, which is what keeps the redesign
-/// byte-identical to the old API. 0 means "hardware concurrency" at
-/// every level, as before.
+/// The compatibility wrapper `run_flow` uses an inherit-everything
+/// context, which is what keeps it byte-identical to the old API. 0 means
+/// "hardware concurrency" at every level.
 struct ThreadBudget {
   int corpus = 0;     ///< batch items in flight (0 = hardware concurrency)
   int graph = -1;     ///< excitation-sweep workers per state-graph build

@@ -9,6 +9,12 @@
 namespace rtcad {
 namespace {
 
+/// Nesting cap of the recursive-descent parser. Canonical artifacts nest
+/// at most 6 levels (shard -> items -> entry -> record -> stages ->
+/// stage); the cap only has to stop hostile input from exhausting the
+/// stack, so it leaves generous headroom.
+constexpr int kMaxJsonDepth = 64;
+
 class JsonParser {
  public:
   JsonParser(const std::string& text, const std::string& label)
@@ -54,8 +60,15 @@ class JsonParser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          fail(strprintf("nesting deeper than %d levels", kMaxJsonDepth));
+        ++depth_;
+        Json v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Json v;
         v.kind = Json::Kind::kString;
@@ -201,6 +214,7 @@ class JsonParser {
   const std::string& s_;
   const std::string& label_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void field_fail(const std::string& where,

@@ -1,6 +1,6 @@
 // Minimal strict JSON reader shared by the artifact formats the repo
-// both writes and reads back — shard files (flow/shard.*) and sweep
-// shards (flow/sweep.*). The repo takes no third-party dependencies,
+// both writes and reads back — shard files of both kinds (flow/shard.*)
+// and item records. The repo takes no third-party dependencies,
 // and the only JSON these tools ever read is what their own canonical
 // writers produced — so this is a small recursive-descent parser over
 // the full JSON grammar, strict about structure and loud about
@@ -34,8 +34,8 @@ struct Json {
 };
 
 /// Strict parse of a complete JSON document. Throws rtcad::Error with a
-/// byte offset, prefixed "<label>, offset N: " ("shard JSON", "sweep
-/// JSON", ...).
+/// byte offset, prefixed "<label>, offset N: " ("shard JSON", ...), on
+/// malformed input or nesting deeper than 64 levels.
 Json parse_json(const std::string& text, const std::string& label);
 
 /// Typed field accessors. `where` names the containing object for the

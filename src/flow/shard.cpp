@@ -1,32 +1,199 @@
 #include "flow/shard.hpp"
 
 #include <algorithm>
-#include <cstdint>
-
-#include <map>
 #include <mutex>
+#include <optional>
 
-#include "flow/json.hpp"
+#include "flow/sweep.hpp"
 #include "util/fsio.hpp"
 #include "util/strings.hpp"
 #include "util/workpool.hpp"
 
 namespace rtcad {
-namespace {
 
-// The shard format is read through the shared strict JSON layer
-// (flow/json.*); the label below keeps every parse/field error prefixed
-// "shard JSON" exactly as before the extraction.
-const char* const kShardLabel = "shard JSON";
-
-std::string shard_where(const std::string& where) {
-  return std::string(kShardLabel) + ": " + where;
+void fan_out(std::size_t n, const FlowContext& ctx,
+             const std::function<void(std::size_t k)>& body) {
+  const std::size_t requested = static_cast<std::size_t>(
+      WorkPool::effective_threads(ctx.budget.corpus));
+  WorkPool pool(static_cast<int>(std::max<std::size_t>(
+      1, std::min(requested, n))));
+  pool.for_each_index(n, body);
 }
 
-/// Decode one item record — the exact object item_record_json renders.
-/// `where` arrives WITHOUT the label prefix; errors carry it.
-BatchItemResult record_of_json(const Json& rec, const std::string& bare) {
-  const std::string where = shard_where(bare);
+void Fingerprint::mix(const std::string& field) {
+  for (const char c : field) {
+    h_ ^= static_cast<unsigned char>(c);
+    h_ *= 1099511628211ull;
+  }
+  h_ ^= 0x100;  // separator: no byte can collide with it
+  h_ *= 1099511628211ull;
+}
+
+std::string Fingerprint::hex() const {
+  return strprintf("%016llx", static_cast<unsigned long long>(h_));
+}
+
+std::vector<std::size_t> shard_indices(std::size_t total, std::size_t shard,
+                                       std::size_t of) {
+  RTCAD_EXPECTS(of >= 1 && shard < of);
+  std::vector<std::size_t> out;
+  for (std::size_t i = shard; i < total; i += of) out.push_back(i);
+  return out;
+}
+
+template <typename Record>
+std::string to_shard_json(const Shard<Record>& s) {
+  using Format = ShardFormat<Record>;
+  std::string out = "{\n";
+  out += strprintf("  \"schema\": %d,\n", kShardSchema);
+  out += strprintf("  \"kind\": \"%s\",\n", Format::kKind);
+  out += strprintf("  \"shard\": %zu,\n", s.shard);
+  out += strprintf("  \"of\": %zu,\n", s.of);
+  out += strprintf("  \"%s\": %zu,\n", Format::kTotal, s.total);
+  out += "  \"fingerprint\": \"" + s.fingerprint + "\",\n";
+  Format::write_header(&out, s);
+  out += "  \"items\": [\n";
+  for (std::size_t i = 0; i < s.items.size(); ++i) {
+    out += strprintf("    {\"index\": %zu, \"record\": ", s.items[i].index);
+    out += Format::write_record(s.items[i].record);
+    out += i + 1 < s.items.size() ? "},\n" : "}\n";
+  }
+  out += "  ]\n}\n";
+  return out;
+}
+
+template <typename Record>
+Shard<Record> read_shard(const Json& root) {
+  using Format = ShardFormat<Record>;
+  const std::string label = std::string(Format::kKind) + " JSON";
+  const std::string where = label + ": " + Format::kKind + " file";
+  const long long schema = json_require_int(root, "schema", where);
+  if (schema != kShardSchema)
+    throw Error(label + strprintf(": unsupported schema version %lld (this "
+                                  "build speaks %d)",
+                                  schema, kShardSchema));
+  if (json_require_string(root, "kind", where) != Format::kKind)
+    throw Error(label + ": \"kind\" must be \"" + Format::kKind + "\"");
+
+  Shard<Record> s;
+  s.shard = json_require_uint(root, "shard", where);
+  s.of = json_require_uint(root, "of", where);
+  s.total = json_require_uint(root, Format::kTotal, where);
+  s.fingerprint = json_require_string(root, "fingerprint", where);
+  if (s.of < 1) throw Error(label + ": \"of\" must be >= 1");
+  if (s.shard >= s.of)
+    throw Error(label + strprintf(": shard id %zu out of range (of %zu)",
+                                  s.shard, s.of));
+  s.header = Format::read_header(root, where);
+
+  const Json& items = json_require(root, "items", where);
+  if (items.kind != Json::Kind::kArray)
+    throw Error(label + ": \"items\" must be an array");
+  s.items.reserve(items.arr.size());
+  for (std::size_t i = 0; i < items.arr.size(); ++i) {
+    const std::string item_where = label + strprintf(": items[%zu]", i);
+    const Json& entry = items.arr[i];
+    ShardItem<Record> item;
+    item.index = json_require_uint(entry, "index", item_where);
+    item.record = Format::read_record(json_require(entry, "record", item_where),
+                                      item_where + ".record");
+    s.items.push_back(std::move(item));
+  }
+  return s;
+}
+
+template <typename Record>
+std::vector<Record> merge_records(const std::vector<Shard<Record>>& shards) {
+  using Format = ShardFormat<Record>;
+  const char* const noun = Format::kKind;
+  if (shards.empty())
+    throw Error(strprintf("merge: no %s files given", noun));
+  const Shard<Record>& first = shards[0];
+  const std::size_t of = first.of;
+  const std::size_t total = first.total;
+  if (shards.size() != of)
+    throw Error(strprintf("merge: got %zu %s files but shards declare "
+                          "\"of\": %zu",
+                          shards.size(), noun, of));
+
+  std::vector<const Shard<Record>*> by_id(of, nullptr);
+  for (const Shard<Record>& s : shards) {
+    if (s.of != of || s.shard >= of)
+      throw Error(strprintf("merge: %s %zu declares \"of\": %zu, expected "
+                            "%zu",
+                            noun, s.shard, s.of, of));
+    if (s.total != total)
+      throw Error(strprintf("merge: %s %zu declares %s size %zu, expected "
+                            "%zu",
+                            noun, s.shard, Format::kUnit, s.total, total));
+    if (s.fingerprint != first.fingerprint)
+      throw Error(strprintf(
+          "merge: %s %zu was produced from a different %s or flags "
+          "(fingerprint %s, expected %s) — every shard process must get "
+          "the same flags in the same order",
+          noun, s.shard, Format::kUnit, s.fingerprint.c_str(),
+          first.fingerprint.c_str()));
+    if (by_id[s.shard])
+      throw Error(strprintf("merge: duplicate %s id %zu", noun, s.shard));
+    by_id[s.shard] = &s;
+    const std::size_t owned = total / of + (s.shard < total % of ? 1 : 0);
+    if (s.items.size() != owned)
+      throw Error(strprintf("merge: %s %zu holds %zu items, expected %zu",
+                            noun, s.shard, s.items.size(), owned));
+  }
+  // Every id 0..of-1 is present once and holds exactly its owned count,
+  // so the counts sum to `total`: the allocation below is bounded by the
+  // records the input actually holds, not by its header.
+
+  std::vector<Record> records(total);
+  for (std::size_t id = 0; id < of; ++id) {
+    const Shard<Record>& s = *by_id[id];
+    for (std::size_t k = 0; k < s.items.size(); ++k) {
+      const std::size_t expected = id + k * of;
+      if (s.items[k].index != expected)
+        throw Error(strprintf(
+            "merge: %s %zu item %zu has index %zu, expected %zu (shards own "
+            "index ≡ shard-id mod %zu, in increasing order)",
+            noun, id, k, s.items[k].index, expected, of));
+      records[expected] = s.items[k].record;
+    }
+  }
+  return records;
+}
+
+// The engine's two record types.
+template std::string to_shard_json(const Shard<BatchItemResult>&);
+template std::string to_shard_json(const Shard<SweepOutcome>&);
+template Shard<BatchItemResult> read_shard(const Json&);
+template Shard<SweepOutcome> read_shard(const Json&);
+template std::vector<BatchItemResult> merge_records(
+    const std::vector<Shard<BatchItemResult>>&);
+template std::vector<SweepOutcome> merge_records(
+    const std::vector<Shard<SweepOutcome>>&);
+
+// --- batch shards ----------------------------------------------------------
+
+void ShardFormat<BatchItemResult>::write_header(std::string* out,
+                                                const ShardRun& shard) {
+  int ok = 0, failed = 0;
+  for (const ShardItem<BatchItemResult>& s : shard.items)
+    (s.record.ok ? ok : failed) += 1;
+  *out += strprintf("  \"ok\": %d,\n", ok);
+  *out += strprintf("  \"failed\": %d,\n", failed);
+}
+
+ShardFormat<BatchItemResult>::Header
+ShardFormat<BatchItemResult>::read_header(const Json&, const std::string&) {
+  return {};
+}
+
+std::string ShardFormat<BatchItemResult>::write_record(
+    const BatchItemResult& item) {
+  return item_record_json(item);
+}
+
+BatchItemResult ShardFormat<BatchItemResult>::read_record(
+    const Json& rec, const std::string& where) {
   BatchItemResult item;
   item.name = json_require_string(rec, "name", where);
   item.ok = json_require_bool(rec, "ok", where);
@@ -56,84 +223,44 @@ BatchItemResult record_of_json(const Json& rec, const std::string& bare) {
   return item;
 }
 
-}  // namespace
-
 std::string corpus_fingerprint(const std::vector<BatchSpec>& corpus) {
-  // FNV-1a 64 over (name, mode, reachability cap) per item, with an
-  // out-of-band separator after every field so field boundaries cannot
-  // alias ("ab"+"c" vs "a"+"bc").
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0x100;  // separator: no byte can collide with it
-    h *= 1099511628211ull;
-  };
+  Fingerprint fp;
   for (const BatchSpec& item : corpus) {
-    mix(item.name);
-    mix(item.opts.mode == FlowMode::kRelativeTiming ? "rt" : "si");
-    mix(std::to_string(item.opts.sg.max_states));
+    fp.mix(item.name);
+    fp.mix(item.opts.mode == FlowMode::kRelativeTiming ? "rt" : "si");
+    fp.mix(std::to_string(item.opts.sg.max_states));
     // Result-shaping: shards cut at different stop points must never
     // merge. The empty string (the default = the synth stage) keeps the
     // pre-back-end fingerprints unchanged.
-    mix(item.opts.stop_after);
+    fp.mix(item.opts.stop_after);
   }
-  return strprintf("%016llx", static_cast<unsigned long long>(h));
-}
-
-std::vector<std::size_t> shard_indices(std::size_t corpus, std::size_t shard,
-                                       std::size_t of) {
-  RTCAD_EXPECTS(of >= 1 && shard < of);
-  std::vector<std::size_t> out;
-  for (std::size_t i = shard; i < corpus; i += of) out.push_back(i);
-  return out;
+  return fp.hex();
 }
 
 BatchItemResult parse_item_record_json(const std::string& text) {
-  const Json rec = parse_json(text, kShardLabel);
-  return record_of_json(rec, "item record");
+  return ShardFormat<BatchItemResult>::read_record(
+      parse_json(text, "shard JSON"), "shard JSON: item record");
 }
 
 ShardRun run_shard(const std::vector<BatchSpec>& corpus, std::size_t shard,
-                   std::size_t of, const FlowContext& ctx) {
-  const std::vector<std::size_t> indices =
-      shard_indices(corpus.size(), shard, of);
-  std::vector<BatchSpec> slice;
-  slice.reserve(indices.size());
-  for (std::size_t i : indices) slice.push_back(corpus[i]);
-
-  const BatchResult batch = run_batch(slice, ctx);
-  ShardRun run;
-  run.shard = shard;
-  run.of = of;
-  run.corpus = corpus.size();
-  run.fingerprint = corpus_fingerprint(corpus);
-  run.items.reserve(indices.size());
-  for (std::size_t k = 0; k < indices.size(); ++k)
-    run.items.push_back(ShardItem{indices[k], batch.items[k]});
-  return run;
-}
-
-ShardRun run_shard_resume(
-    const std::vector<BatchSpec>& corpus, std::size_t shard, std::size_t of,
-    const ShardRun* partial, const FlowContext& ctx,
-    const std::string& checkpoint_path,
-    const std::function<void(std::size_t computed)>& on_item) {
+                   std::size_t of, const FlowContext& ctx,
+                   const ShardRun* partial,
+                   const std::string& checkpoint_path,
+                   const std::function<void(std::size_t computed)>& on_item) {
   const std::vector<std::size_t> indices =
       shard_indices(corpus.size(), shard, of);
 
   ShardRun run;
   run.shard = shard;
   run.of = of;
-  run.corpus = corpus.size();
+  run.total = corpus.size();
   run.fingerprint = corpus_fingerprint(corpus);
 
-  // Validate and index the partial file's records. Every mismatch is the
+  // Slots in owned-index order (index i sits at position i / of); the
+  // partial file's records fill theirs up front. Every mismatch is the
   // operator resuming against the wrong corpus or the wrong shard; that
   // must fail loudly before any work is reused or discarded.
-  std::map<std::size_t, const BatchItemResult*> reuse;
+  std::vector<std::optional<BatchItemResult>> slots(indices.size());
   if (partial) {
     if (partial->fingerprint != run.fingerprint)
       throw Error(strprintf(
@@ -141,13 +268,13 @@ ShardRun run_shard_resume(
           "or flags (fingerprint %s, expected %s)",
           partial->fingerprint.c_str(), run.fingerprint.c_str()));
     if (partial->shard != shard || partial->of != of ||
-        partial->corpus != corpus.size())
+        partial->total != corpus.size())
       throw Error(strprintf(
           "resume: partial file is shard %zu/%zu over %zu items, expected "
           "%zu/%zu over %zu",
-          partial->shard, partial->of, partial->corpus, shard, of,
+          partial->shard, partial->of, partial->total, shard, of,
           corpus.size()));
-    for (const ShardItem& s : partial->items) {
+    for (const ShardItem<BatchItemResult>& s : partial->items) {
       if (s.index % of != shard || s.index >= corpus.size())
         throw Error(strprintf(
             "resume: partial file holds corpus index %zu, which shard "
@@ -155,179 +282,46 @@ ShardRun run_shard_resume(
             s.index, shard, of));
       // A "cancelled" record is when the previous run was killed, not a
       // result of the spec; recompute it.
-      if (!s.item.ok && s.item.diagnostic.kind == "cancelled") continue;
-      reuse[s.index] = &s.item;
+      if (!s.record.ok && s.record.diagnostic.kind == "cancelled") continue;
+      slots[s.index / of] = s.record;
     }
   }
-
-  // Slots in owned-index order; reused records fill theirs up front.
-  std::vector<BatchItemResult> slots(indices.size());
   std::vector<std::size_t> missing;  // positions into `indices`/`slots`
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    const auto it = reuse.find(indices[k]);
-    if (it != reuse.end())
-      slots[k] = *it->second;
-    else
-      missing.push_back(k);
-  }
+  for (std::size_t k = 0; k < indices.size(); ++k)
+    if (!slots[k]) missing.push_back(k);
 
-  // Assemble the (possibly still incomplete) run from the filled slots,
-  // in increasing index order — the writer's invariant.
-  const auto assemble = [&](ShardRun* out, const std::vector<bool>& have) {
-    out->items.clear();
+  // The filled slots as the (possibly still incomplete) run, in
+  // increasing index order — the writer's invariant.
+  const auto assemble = [&] {
+    run.items.clear();
     for (std::size_t k = 0; k < indices.size(); ++k)
-      if (have[k]) out->items.push_back(ShardItem{indices[k], slots[k]});
+      if (slots[k]) run.items.push_back({indices[k], *slots[k]});
   };
 
-  std::vector<bool> have(indices.size(), false);
-  for (std::size_t k = 0; k < indices.size(); ++k)
-    have[k] = reuse.count(indices[k]) > 0;
-
-  // Compute the missing items on the corpus-level pool, exactly like
-  // run_batch — plus a checkpoint rewrite after every completion, so a
-  // crash at ANY point leaves a valid partial file behind. The mutex
-  // serializes only the bookkeeping; the flow runs outside it.
+  // A checkpoint rewrite after every completion means a crash at ANY
+  // point leaves a valid partial file behind. The mutex serializes only
+  // the bookkeeping; the flow runs outside it.
   std::mutex mu;
   std::size_t computed = 0;
-  const std::size_t requested = static_cast<std::size_t>(
-      WorkPool::effective_threads(ctx.budget.corpus));
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(requested, std::max<std::size_t>(
-                                                       1, missing.size())));
-  WorkPool pool(static_cast<int>(workers));
-  pool.for_each_index(missing.size(), [&](std::size_t m) {
+  fan_out(missing.size(), ctx, [&](std::size_t m) {
     const std::size_t k = missing[m];
     BatchItemResult item = run_batch_item(corpus[indices[k]], ctx);
     std::lock_guard<std::mutex> lock(mu);
     slots[k] = std::move(item);
-    have[k] = true;
     ++computed;
     if (!checkpoint_path.empty()) {
-      ShardRun snap = run;  // header fields; items assembled below
-      assemble(&snap, have);
-      atomic_write_file(checkpoint_path, to_shard_json(snap));
+      assemble();
+      atomic_write_file(checkpoint_path, to_shard_json(run));
     }
     if (on_item) on_item(computed);
   });
 
-  assemble(&run, have);
-  return run;
-}
-
-std::string to_shard_json(const ShardRun& run) {
-  int ok = 0, failed = 0;
-  for (const ShardItem& s : run.items) (s.item.ok ? ok : failed) += 1;
-  std::string out = "{\n";
-  out += strprintf("  \"schema\": %d,\n", kShardSchema);
-  out += "  \"kind\": \"shard\",\n";
-  out += strprintf("  \"shard\": %zu,\n", run.shard);
-  out += strprintf("  \"of\": %zu,\n", run.of);
-  out += strprintf("  \"corpus\": %zu,\n", run.corpus);
-  out += "  \"fingerprint\": \"" + run.fingerprint + "\",\n";
-  out += strprintf("  \"ok\": %d,\n", ok);
-  out += strprintf("  \"failed\": %d,\n", failed);
-  out += "  \"items\": [\n";
-  for (std::size_t i = 0; i < run.items.size(); ++i) {
-    out += strprintf("    {\"index\": %zu, \"record\": ", run.items[i].index);
-    out += item_record_json(run.items[i].item);
-    out += i + 1 < run.items.size() ? "},\n" : "}\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-ShardRun parse_shard_json(const std::string& text) {
-  const Json root = parse_json(text, kShardLabel);
-  const std::string where = shard_where("shard file");
-  const long long schema = json_require_int(root, "schema", where);
-  if (schema != kShardSchema)
-    throw Error(strprintf(
-        "shard JSON: unsupported schema version %lld (this build speaks %d)",
-        schema, kShardSchema));
-  if (json_require_string(root, "kind", where) != "shard")
-    throw Error("shard JSON: \"kind\" must be \"shard\"");
-
-  ShardRun run;
-  run.shard = json_require_uint(root, "shard", where);
-  run.of = json_require_uint(root, "of", where);
-  run.corpus = json_require_uint(root, "corpus", where);
-  run.fingerprint = json_require_string(root, "fingerprint", where);
-  if (run.of < 1) throw Error("shard JSON: \"of\" must be >= 1");
-  if (run.shard >= run.of)
-    throw Error(strprintf("shard JSON: shard id %zu out of range (of %zu)",
-                          run.shard, run.of));
-
-  const Json& items = json_require(root, "items", where);
-  if (items.kind != Json::Kind::kArray)
-    throw Error("shard JSON: \"items\" must be an array");
-  for (std::size_t i = 0; i < items.arr.size(); ++i) {
-    const std::string bare = strprintf("items[%zu]", i);
-    const std::string item_where = shard_where(bare);
-    const Json& entry = items.arr[i];
-    ShardItem si;
-    si.index = json_require_uint(entry, "index", item_where);
-    si.item = record_of_json(json_require(entry, "record", item_where),
-                             bare + ".record");
-    run.items.push_back(std::move(si));
-  }
+  assemble();
   return run;
 }
 
 BatchResult merge_shards(const std::vector<ShardRun>& shards) {
-  if (shards.empty()) throw Error("merge: no shard files given");
-  const std::size_t of = shards[0].of;
-  const std::size_t corpus = shards[0].corpus;
-  if (shards.size() != of)
-    throw Error(strprintf("merge: got %zu shard files but shards declare "
-                          "\"of\": %zu",
-                          shards.size(), of));
-
-  std::vector<const ShardRun*> by_id(of, nullptr);
-  for (const ShardRun& s : shards) {
-    if (s.of != of)
-      throw Error(strprintf("merge: shard %zu declares \"of\": %zu, "
-                            "expected %zu",
-                            s.shard, s.of, of));
-    if (s.corpus != corpus)
-      throw Error(strprintf("merge: shard %zu declares corpus size %zu, "
-                            "expected %zu",
-                            s.shard, s.corpus, corpus));
-    if (s.fingerprint != shards[0].fingerprint)
-      throw Error(strprintf(
-          "merge: shard %zu was produced from a different corpus or flags "
-          "(fingerprint %s, expected %s) — every shard process must get "
-          "the same corpus flags in the same order",
-          s.shard, s.fingerprint.c_str(), shards[0].fingerprint.c_str()));
-    if (by_id[s.shard])
-      throw Error(strprintf("merge: duplicate shard id %zu", s.shard));
-    by_id[s.shard] = &s;
-  }
-  // shards.size() == of and no duplicates => every id present.
-
-  BatchResult result;
-  result.items.resize(corpus);
-  for (std::size_t id = 0; id < of; ++id) {
-    const ShardRun& s = *by_id[id];
-    const std::vector<std::size_t> expected = shard_indices(corpus, id, of);
-    if (s.items.size() != expected.size())
-      throw Error(strprintf("merge: shard %zu holds %zu items, expected %zu",
-                            id, s.items.size(), expected.size()));
-    for (std::size_t k = 0; k < s.items.size(); ++k) {
-      if (s.items[k].index != expected[k])
-        throw Error(strprintf(
-            "merge: shard %zu item %zu has corpus index %zu, expected %zu "
-            "(shards own index ≡ shard-id mod %zu, in increasing order)",
-            id, k, s.items[k].index, expected[k], of));
-      result.items[s.items[k].index] = s.items[k].item;
-    }
-  }
-  for (const auto& item : result.items) {
-    if (item.ok)
-      ++result.ok_count;
-    else
-      ++result.failed_count;
-  }
-  return result;
+  return tally(merge_records(shards));
 }
 
 }  // namespace rtcad

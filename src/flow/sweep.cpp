@@ -1,26 +1,17 @@
 #include "flow/sweep.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "flow/json.hpp"
 #include "flow/pipeline.hpp"
-#include "flow/shard.hpp"
 #include "sim/sim.hpp"
 #include "sim/stgenv.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/workpool.hpp"
 
 namespace rtcad {
 namespace {
-
-const char* const kSweepLabel = "sweep JSON";
-
-std::string sweep_where(const std::string& where) {
-  return std::string(kSweepLabel) + ": " + where;
-}
 
 const char* mode_name(FlowMode mode) {
   return mode == FlowMode::kRelativeTiming ? "rt" : "si";
@@ -245,41 +236,14 @@ SweepOutcome evaluate_variant(const SweepSetup& setup, const SweepVariant& v,
   return out;
 }
 
-/// Evaluate the variants at `indices` on the corpus-level pool, each into
-/// its own slot — identical claiming discipline to run_batch, so the
-/// result vector is schedule-independent.
-std::vector<SweepOutcome> evaluate_indices(
-    const SweepSetup& setup, const std::vector<std::size_t>& indices,
-    const SweepOptions& opts, const FlowContext& ctx) {
-  std::vector<SweepOutcome> slots(indices.size());
-  const std::size_t requested = static_cast<std::size_t>(
-      WorkPool::effective_threads(ctx.budget.corpus));
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min(requested, std::max<std::size_t>(1, indices.size())));
-  WorkPool pool(static_cast<int>(workers));
-  pool.for_each_index(indices.size(), [&](std::size_t k) {
-    ctx.check_cancelled("sweep variant");
-    slots[k] = evaluate_variant(setup, setup.variants[indices[k]], opts);
-  });
-  return slots;
-}
-
-/// Aggregate enumeration-ordered outcomes into the report. Shared by the
-/// direct runner and the shard merge, which is what makes the two paths
-/// byte-identical by construction.
-SweepReport finalize_report(std::string spec_name, std::string mode,
-                            std::string fingerprint, int nets,
-                            long long constraints, long long golden_cycles,
-                            bool golden_ok,
+/// Aggregate enumeration-ordered outcomes into the report. The direct
+/// runner is the merge of its one shard, so every report is built here.
+SweepReport finalize_report(const std::string& fingerprint,
+                            const SweepHeader& header,
                             std::vector<SweepOutcome> outcomes) {
   SweepReport r;
-  r.spec = std::move(spec_name);
-  r.mode = std::move(mode);
-  r.fingerprint = std::move(fingerprint);
-  r.nets = nets;
-  r.constraints = constraints;
-  r.golden_cycles = golden_cycles;
-  r.golden_ok = golden_ok;
+  static_cast<SweepHeader&>(r) = header;
+  r.fingerprint = fingerprint;
   r.outcomes = std::move(outcomes);
   for (const SweepOutcome& o : r.outcomes) {
     if (o.kind == "fault") {
@@ -302,28 +266,6 @@ SweepReport finalize_report(std::string spec_name, std::string mode,
   return r;
 }
 
-std::string sweep_record_json(const SweepOutcome& o) {
-  std::string out = "{\"kind\": ";
-  append_json_string(&out, o.kind);
-  out += ", \"target\": ";
-  append_json_string(&out, o.target);
-  out += strprintf(", \"ok\": %s, \"outcome\": ", o.ok ? "true" : "false");
-  append_json_string(&out, o.outcome);
-  out += strprintf(", \"metric\": %lld}", o.metric);
-  return out;
-}
-
-SweepOutcome record_of_json(const Json& rec, const std::string& bare) {
-  const std::string where = sweep_where(bare);
-  SweepOutcome o;
-  o.kind = json_require_string(rec, "kind", where);
-  o.target = json_require_string(rec, "target", where);
-  o.ok = json_require_bool(rec, "ok", where);
-  o.outcome = json_require_string(rec, "outcome", where);
-  o.metric = json_require_int(rec, "metric", where);
-  return o;
-}
-
 }  // namespace
 
 const char* to_string(SweepKind kind) {
@@ -337,72 +279,52 @@ const char* to_string(SweepKind kind) {
 
 std::string sweep_fingerprint(const std::string& name,
                               const SweepOptions& opts) {
-  // FNV-1a 64 with an out-of-band separator after every field, exactly
-  // like corpus_fingerprint — shards cut from different specs, grids or
-  // report-shaping flags must never merge.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0x100;
-    h *= 1099511628211ull;
-  };
-  mix(name);
-  mix(mode_name(opts.flow.mode));
-  mix(std::to_string(opts.flow.sg.max_states));
-  mix(std::to_string(std::llround(opts.fault.sim_time_ps)));
-  mix(std::to_string(opts.fault.cycle_fraction_x100));
-  mix(std::to_string(opts.fault.env.seed));
-  mix(std::to_string(std::llround(opts.fault.env.input_delay_min_ps)));
-  mix(std::to_string(std::llround(opts.fault.env.input_delay_max_ps)));
-  mix(opts.faults ? "1" : "0");
-  mix(std::to_string(opts.delay_variants));
-  mix(std::to_string(opts.env_variants));
-  mix(std::to_string(opts.seed));
-  for (const int scale : opts.delay_scales_x100) mix(std::to_string(scale));
-  return strprintf("%016llx", static_cast<unsigned long long>(h));
+  // Shards cut from different specs, grids or report-shaping flags must
+  // never merge.
+  Fingerprint fp;
+  fp.mix(name);
+  fp.mix(mode_name(opts.flow.mode));
+  fp.mix(std::to_string(opts.flow.sg.max_states));
+  fp.mix(std::to_string(std::llround(opts.fault.sim_time_ps)));
+  fp.mix(std::to_string(opts.fault.cycle_fraction_x100));
+  fp.mix(std::to_string(opts.fault.env.seed));
+  fp.mix(std::to_string(std::llround(opts.fault.env.input_delay_min_ps)));
+  fp.mix(std::to_string(std::llround(opts.fault.env.input_delay_max_ps)));
+  fp.mix(opts.faults ? "1" : "0");
+  fp.mix(std::to_string(opts.delay_variants));
+  fp.mix(std::to_string(opts.env_variants));
+  fp.mix(std::to_string(opts.seed));
+  for (const int scale : opts.delay_scales_x100) fp.mix(std::to_string(scale));
+  return fp.hex();
 }
 
 SweepReport run_sweep(const std::string& name, const Stg& spec,
                       const SweepOptions& opts, const FlowContext& ctx) {
-  const SweepSetup setup = prepare_sweep(name, spec, opts, ctx);
-  std::vector<std::size_t> indices(setup.variants.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  std::vector<SweepOutcome> outcomes =
-      evaluate_indices(setup, indices, opts, ctx);
-  return finalize_report(name, mode_name(opts.flow.mode),
-                         sweep_fingerprint(name, opts),
-                         setup.flow.netlist().num_nets(),
-                         static_cast<long long>(setup.constraints.size()),
-                         static_cast<long long>(setup.golden.cycles),
-                         setup.golden.ok(), std::move(outcomes));
+  return merge_sweep_shards({run_sweep_shard(name, spec, 0, 1, opts, ctx)});
 }
 
 SweepShard run_sweep_shard(const std::string& name, const Stg& spec,
                            std::size_t shard, std::size_t of,
                            const SweepOptions& opts, const FlowContext& ctx) {
   const SweepSetup setup = prepare_sweep(name, spec, opts, ctx);
-  const std::vector<std::size_t> indices =
-      shard_indices(setup.variants.size(), shard, of);
-  std::vector<SweepOutcome> outcomes =
-      evaluate_indices(setup, indices, opts, ctx);
-
   SweepShard out;
   out.shard = shard;
   out.of = of;
-  out.variants = setup.variants.size();
+  out.total = setup.variants.size();
   out.fingerprint = sweep_fingerprint(name, opts);
-  out.spec = name;
-  out.mode = mode_name(opts.flow.mode);
-  out.nets = setup.flow.netlist().num_nets();
-  out.constraints = static_cast<long long>(setup.constraints.size());
-  out.golden_cycles = static_cast<long long>(setup.golden.cycles);
-  out.golden_ok = setup.golden.ok();
-  out.items.reserve(indices.size());
-  for (std::size_t k = 0; k < indices.size(); ++k)
-    out.items.push_back(SweepShardItem{indices[k], std::move(outcomes[k])});
+  out.header = SweepHeader{name,
+                           mode_name(opts.flow.mode),
+                           setup.flow.netlist().num_nets(),
+                           static_cast<long long>(setup.constraints.size()),
+                           static_cast<long long>(setup.golden.cycles),
+                           setup.golden.ok()};
+  const std::vector<std::size_t> indices = shard_indices(out.total, shard, of);
+  out.items.resize(indices.size());
+  fan_out(indices.size(), ctx, [&](std::size_t k) {
+    ctx.check_cancelled("sweep variant");
+    out.items[k] = {indices[k],
+                    evaluate_variant(setup, setup.variants[indices[k]], opts)};
+  });
   return out;
 }
 
@@ -442,150 +364,66 @@ std::string to_sweep_json(const SweepReport& r) {
   out += "  \"items\": [\n";
   for (std::size_t i = 0; i < r.outcomes.size(); ++i) {
     out += strprintf("    {\"index\": %zu, \"record\": ", i);
-    out += sweep_record_json(r.outcomes[i]);
+    out += ShardFormat<SweepOutcome>::write_record(r.outcomes[i]);
     out += i + 1 < r.outcomes.size() ? "},\n" : "}\n";
   }
   out += "  ]\n}\n";
   return out;
 }
 
-std::string to_sweep_shard_json(const SweepShard& s) {
-  std::string out = "{\n";
-  out += strprintf("  \"schema\": %d,\n", kSweepSchema);
-  out += "  \"kind\": \"sweep-shard\",\n";
-  out += strprintf("  \"shard\": %zu,\n", s.shard);
-  out += strprintf("  \"of\": %zu,\n", s.of);
-  out += strprintf("  \"variants\": %zu,\n", s.variants);
-  out += "  \"fingerprint\": \"" + s.fingerprint + "\",\n";
-  out += "  \"spec\": ";
-  append_json_string(&out, s.spec);
-  out += ",\n";
-  out += "  \"mode\": \"" + s.mode + "\",\n";
-  out += strprintf("  \"nets\": %d,\n", s.nets);
-  out += strprintf("  \"constraints\": %lld,\n", s.constraints);
-  out += strprintf("  \"golden\": {\"cycles\": %lld, \"ok\": %s},\n",
-                   s.golden_cycles, s.golden_ok ? "true" : "false");
-  out += "  \"items\": [\n";
-  for (std::size_t i = 0; i < s.items.size(); ++i) {
-    out += strprintf("    {\"index\": %zu, \"record\": ", s.items[i].index);
-    out += sweep_record_json(s.items[i].outcome);
-    out += i + 1 < s.items.size() ? "},\n" : "}\n";
-  }
-  out += "  ]\n}\n";
+void ShardFormat<SweepOutcome>::write_header(std::string* out,
+                                             const SweepShard& s) {
+  const SweepHeader& h = s.header;
+  *out += "  \"spec\": ";
+  append_json_string(out, h.spec);
+  *out += ",\n";
+  *out += "  \"mode\": \"" + h.mode + "\",\n";
+  *out += strprintf("  \"nets\": %d,\n", h.nets);
+  *out += strprintf("  \"constraints\": %lld,\n", h.constraints);
+  *out += strprintf("  \"golden\": {\"cycles\": %lld, \"ok\": %s},\n",
+                    h.golden_cycles, h.golden_ok ? "true" : "false");
+}
+
+SweepHeader ShardFormat<SweepOutcome>::read_header(const Json& root,
+                                                   const std::string& where) {
+  SweepHeader h;
+  h.spec = json_require_string(root, "spec", where);
+  h.mode = json_require_string(root, "mode", where);
+  h.nets = static_cast<int>(json_require_int(root, "nets", where));
+  h.constraints = json_require_int(root, "constraints", where);
+  const Json& golden = json_require(root, "golden", where);
+  const std::string golden_where = where + ": golden";
+  h.golden_cycles = json_require_int(golden, "cycles", golden_where);
+  h.golden_ok = json_require_bool(golden, "ok", golden_where);
+  return h;
+}
+
+std::string ShardFormat<SweepOutcome>::write_record(const SweepOutcome& o) {
+  std::string out = "{\"kind\": ";
+  append_json_string(&out, o.kind);
+  out += ", \"target\": ";
+  append_json_string(&out, o.target);
+  out += strprintf(", \"ok\": %s, \"outcome\": ", o.ok ? "true" : "false");
+  append_json_string(&out, o.outcome);
+  out += strprintf(", \"metric\": %lld}", o.metric);
   return out;
 }
 
-bool is_sweep_shard_json(const std::string& text) {
-  try {
-    const Json root = parse_json(text, kSweepLabel);
-    const Json* kind = root.find("kind");
-    return kind && kind->kind == Json::Kind::kString &&
-           kind->str == "sweep-shard";
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-SweepShard parse_sweep_shard_json(const std::string& text) {
-  const Json root = parse_json(text, kSweepLabel);
-  const std::string where = sweep_where("sweep shard file");
-  const long long schema = json_require_int(root, "schema", where);
-  if (schema != kSweepSchema)
-    throw Error(strprintf(
-        "sweep JSON: unsupported schema version %lld (this build speaks %d)",
-        schema, kSweepSchema));
-  if (json_require_string(root, "kind", where) != "sweep-shard")
-    throw Error("sweep JSON: \"kind\" must be \"sweep-shard\"");
-
-  SweepShard s;
-  s.shard = json_require_uint(root, "shard", where);
-  s.of = json_require_uint(root, "of", where);
-  s.variants = json_require_uint(root, "variants", where);
-  s.fingerprint = json_require_string(root, "fingerprint", where);
-  s.spec = json_require_string(root, "spec", where);
-  s.mode = json_require_string(root, "mode", where);
-  s.nets = static_cast<int>(json_require_int(root, "nets", where));
-  s.constraints = json_require_int(root, "constraints", where);
-  const Json& golden = json_require(root, "golden", where);
-  if (golden.kind != Json::Kind::kObject)
-    throw Error("sweep JSON: \"golden\" must be an object");
-  const std::string golden_where = sweep_where("golden");
-  s.golden_cycles = json_require_int(golden, "cycles", golden_where);
-  s.golden_ok = json_require_bool(golden, "ok", golden_where);
-  if (s.of < 1) throw Error("sweep JSON: \"of\" must be >= 1");
-  if (s.shard >= s.of)
-    throw Error(strprintf("sweep JSON: shard id %zu out of range (of %zu)",
-                          s.shard, s.of));
-
-  const Json& items = json_require(root, "items", where);
-  if (items.kind != Json::Kind::kArray)
-    throw Error("sweep JSON: \"items\" must be an array");
-  for (std::size_t i = 0; i < items.arr.size(); ++i) {
-    const std::string bare = strprintf("items[%zu]", i);
-    const std::string item_where = sweep_where(bare);
-    const Json& entry = items.arr[i];
-    SweepShardItem si;
-    si.index = json_require_uint(entry, "index", item_where);
-    si.outcome = record_of_json(json_require(entry, "record", item_where),
-                                bare + ".record");
-    s.items.push_back(std::move(si));
-  }
-  return s;
+SweepOutcome ShardFormat<SweepOutcome>::read_record(const Json& rec,
+                                                    const std::string& where) {
+  SweepOutcome o;
+  o.kind = json_require_string(rec, "kind", where);
+  o.target = json_require_string(rec, "target", where);
+  o.ok = json_require_bool(rec, "ok", where);
+  o.outcome = json_require_string(rec, "outcome", where);
+  o.metric = json_require_int(rec, "metric", where);
+  return o;
 }
 
 SweepReport merge_sweep_shards(const std::vector<SweepShard>& shards) {
-  if (shards.empty()) throw Error("merge: no sweep shard files given");
-  const SweepShard& first = shards[0];
-  const std::size_t of = first.of;
-  const std::size_t variants = first.variants;
-  if (shards.size() != of)
-    throw Error(strprintf("merge: got %zu sweep shard files but shards "
-                          "declare \"of\": %zu",
-                          shards.size(), of));
-
-  std::vector<const SweepShard*> by_id(of, nullptr);
-  for (const SweepShard& s : shards) {
-    if (s.of != of)
-      throw Error(strprintf("merge: sweep shard %zu declares \"of\": %zu, "
-                            "expected %zu",
-                            s.shard, s.of, of));
-    if (s.variants != variants)
-      throw Error(strprintf("merge: sweep shard %zu declares %zu variants, "
-                            "expected %zu",
-                            s.shard, s.variants, variants));
-    if (s.fingerprint != first.fingerprint)
-      throw Error(strprintf(
-          "merge: sweep shard %zu was produced from a different spec or "
-          "flags (fingerprint %s, expected %s) — every shard process must "
-          "get the same spec and sweep flags",
-          s.shard, s.fingerprint.c_str(), first.fingerprint.c_str()));
-    if (by_id[s.shard])
-      throw Error(strprintf("merge: duplicate sweep shard id %zu", s.shard));
-    by_id[s.shard] = &s;
-  }
-  // shards.size() == of and no duplicates => every id present.
-
-  std::vector<SweepOutcome> outcomes(variants);
-  for (std::size_t id = 0; id < of; ++id) {
-    const SweepShard& s = *by_id[id];
-    const std::vector<std::size_t> expected = shard_indices(variants, id, of);
-    if (s.items.size() != expected.size())
-      throw Error(strprintf(
-          "merge: sweep shard %zu holds %zu items, expected %zu", id,
-          s.items.size(), expected.size()));
-    for (std::size_t k = 0; k < s.items.size(); ++k) {
-      if (s.items[k].index != expected[k])
-        throw Error(strprintf(
-            "merge: sweep shard %zu item %zu has variant index %zu, "
-            "expected %zu (shards own index ≡ shard-id mod %zu, in "
-            "increasing order)",
-            id, k, s.items[k].index, expected[k], of));
-      outcomes[s.items[k].index] = s.items[k].outcome;
-    }
-  }
-  return finalize_report(first.spec, first.mode, first.fingerprint,
-                         first.nets, first.constraints, first.golden_cycles,
-                         first.golden_ok, std::move(outcomes));
+  std::vector<SweepOutcome> outcomes = merge_records(shards);
+  return finalize_report(shards[0].fingerprint, shards[0].header,
+                         std::move(outcomes));
 }
 
 }  // namespace rtcad

@@ -13,14 +13,14 @@
 //   * environment variants — phase offsets of the protocol environment
 //                         (sim/stgenv seeds and input-delay windows).
 //
-// Every variant is one unit of work claimed via WorkPool::for_each_index
-// and written to its own slot, so the aggregated SweepReport — coverage,
-// the undetected-fault list, the delay windows that break an RT
-// assumption, and the per-variant outcome records — is byte-identical at
-// any thread count. A sweep can also be cut into shards (variant index ≡
-// shard mod of, the batch shard convention) whose merge is byte-identical
-// to the single-process report; `specs/golden_sweep.json` pins the
-// artifact in CI.
+// Every variant is one unit of work of the ordered-work engine
+// (flow/shard.hpp), written to its own slot, so the aggregated
+// SweepReport — coverage, the undetected-fault list, the delay windows
+// that break an RT assumption, and the per-variant outcome records — is
+// byte-identical at any thread count. A sweep can also be cut into shards
+// (variant index ≡ shard mod of, the batch shard convention) whose merge
+// is byte-identical to the single-process report; `specs/golden_sweep.json`
+// pins the artifact in CI.
 #pragma once
 
 #include <cstddef>
@@ -31,11 +31,12 @@
 #include "dft/faultsim.hpp"
 #include "flow/context.hpp"
 #include "flow/rtflow.hpp"
+#include "flow/shard.hpp"
 #include "timed/timedreduce.hpp"
 
 namespace rtcad {
 
-/// Version of the sweep and sweep-shard schemas this build reads/writes.
+/// Version of the sweep report schema this build writes.
 inline constexpr int kSweepSchema = 1;
 
 struct SweepOptions {
@@ -88,13 +89,11 @@ struct SweepOutcome {
   long long metric = 0;
 };
 
-/// Aggregated sweep result. `outcomes` is in variant-enumeration order —
-/// faults (net-id order, stuck-0 then stuck-1), then delay variants, then
-/// environment variants — regardless of thread count or sharding.
-struct SweepReport {
+/// The facts about the swept base scenario that every shard of one sweep
+/// repeats in its header and the report carries.
+struct SweepHeader {
   std::string spec;         ///< spec name as given to the runner
   std::string mode;         ///< "rt" or "si"
-  std::string fingerprint;  ///< sweep_fingerprint(spec, opts)
   int nets = 0;             ///< nets of the swept netlist
   long long constraints = 0;  ///< back-annotated RT constraints stressed
   /// The fault-free baseline: protocol cycles it achieved, and whether it
@@ -105,6 +104,13 @@ struct SweepReport {
   /// vacuous 100% coverage.
   long long golden_cycles = 0;
   bool golden_ok = false;
+};
+
+/// Aggregated sweep result. `outcomes` is in variant-enumeration order —
+/// faults (net-id order, stuck-0 then stuck-1), then delay variants, then
+/// environment variants — regardless of thread count or sharding.
+struct SweepReport : SweepHeader {
+  std::string fingerprint;  ///< sweep_fingerprint(spec, opts)
   int fault_total = 0;
   int fault_detected = 0;
   int delay_total = 0;
@@ -123,27 +129,24 @@ struct SweepReport {
   }
 };
 
-/// One shard's worth of a sweep: outcomes at variant indices ≡ shard
-/// (mod of), in increasing index order, plus the header every shard of
-/// the same sweep must agree on.
-struct SweepShardItem {
-  std::size_t index = 0;
-  SweepOutcome outcome;
+/// Sweep shard files: the engine's envelope (flow/shard.hpp) with kind
+/// "sweep-shard", the variant count as "variants", and the SweepHeader
+/// fields after the fingerprint.
+template <>
+struct ShardFormat<SweepOutcome> {
+  static constexpr const char* kKind = "sweep-shard";
+  static constexpr const char* kTotal = "variants";
+  static constexpr const char* kUnit = "sweep";
+  using Header = SweepHeader;
+  static void write_header(std::string* out, const Shard<SweepOutcome>& s);
+  static Header read_header(const Json& root, const std::string& where);
+  static std::string write_record(const SweepOutcome& outcome);
+  static SweepOutcome read_record(const Json& rec, const std::string& where);
 };
 
-struct SweepShard {
-  std::size_t shard = 0;
-  std::size_t of = 1;
-  std::size_t variants = 0;  ///< total variant count of the full sweep
-  std::string fingerprint;
-  std::string spec;
-  std::string mode;
-  int nets = 0;
-  long long constraints = 0;
-  long long golden_cycles = 0;
-  bool golden_ok = false;
-  std::vector<SweepShardItem> items;
-};
+/// One shard's worth of a sweep: outcomes at variant indices ≡ shard
+/// (mod of), in increasing index order.
+using SweepShard = Shard<SweepOutcome>;
 
 /// Identity of a sweep: FNV-1a over the spec name and every
 /// report-shaping option. Shards from different specs, grids or flags
@@ -168,16 +171,9 @@ SweepShard run_sweep_shard(const std::string& name, const Stg& spec,
                            const SweepOptions& opts = {},
                            const FlowContext& ctx = {});
 
-/// Canonical JSON renderings. Stable byte-for-byte across thread counts,
-/// locales and platforms — golden-diffed in CI.
+/// Canonical JSON rendering of the report. Stable byte-for-byte across
+/// thread counts, locales and platforms — golden-diffed in CI.
 std::string to_sweep_json(const SweepReport& report);
-std::string to_sweep_shard_json(const SweepShard& shard);
-
-/// True iff `text` parses as JSON whose "kind" is "sweep-shard" — the
-/// merge CLI's dispatch between batch shards and sweep shards.
-bool is_sweep_shard_json(const std::string& text);
-
-SweepShard parse_sweep_shard_json(const std::string& text);
 
 /// Reassemble a complete shard set into the report the single-process
 /// sweep would produce (byte-identical through to_sweep_json). Throws on

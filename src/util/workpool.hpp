@@ -1,5 +1,5 @@
 // Persistent fixed-size worker pool, shared by every parallel engine in the
-// repo (corpus-level parallelism in flow/batchflow, graph-level parallelism
+// repo (corpus-level parallelism in flow/shard, graph-level parallelism
 // in sg/stategraph). The pool exists so that phase-structured algorithms —
 // the CSC search runs one `for_each_index()` per round — pay thread
 // creation once per pool, not once per phase.

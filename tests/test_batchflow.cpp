@@ -20,9 +20,9 @@ TEST(BatchFlow, ResultsAreByteIdenticalAcrossThreadCounts) {
   const std::vector<BatchSpec> corpus = builtin_corpus();
   std::string reference;
   for (int threads : {1, 4, 8}) {
-    BatchOptions opts;
-    opts.threads = threads;
-    const std::string json = to_json(run_batch(corpus, opts));
+    FlowContext ctx;
+    ctx.budget.corpus = threads;
+    const std::string json = to_json(run_batch(corpus, ctx));
     if (reference.empty())
       reference = json;
     else
@@ -33,9 +33,9 @@ TEST(BatchFlow, ResultsAreByteIdenticalAcrossThreadCounts) {
 
 TEST(BatchFlow, ItemsStayInCorpusOrder) {
   const std::vector<BatchSpec> corpus = builtin_corpus();
-  BatchOptions opts;
-  opts.threads = 8;
-  const BatchResult r = run_batch(corpus, opts);
+  FlowContext ctx;
+  ctx.budget.corpus = 8;
+  const BatchResult r = run_batch(corpus, ctx);
   ASSERT_EQ(r.items.size(), corpus.size());
   for (std::size_t i = 0; i < corpus.size(); ++i)
     EXPECT_EQ(r.items[i].name, corpus[i].name);

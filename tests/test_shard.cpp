@@ -1,6 +1,7 @@
-// The shard/merge subsystem: round-robin index ownership, shard-file
-// round-tripping through the strict JSON reader, and the core contract —
-// merging N shard files is byte-identical to one single-process batch.
+// The ordered-work engine: round-robin index ownership, shard-file
+// round-tripping through the strict JSON reader, the core contract —
+// merging N shard files is byte-identical to one single-process batch —
+// and the one reader and merge against hostile shard files of both kinds.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,6 +10,7 @@
 
 #include "flow/flow.hpp"
 #include "stg/builders.hpp"
+#include "util/rng.hpp"
 
 namespace rtcad {
 namespace {
@@ -32,7 +34,7 @@ TEST(Shard, MergeOfShardsIsByteIdenticalToSingleProcessBatch) {
     std::vector<ShardRun> shards;
     for (std::size_t i = 0; i < of; ++i)
       shards.push_back(
-          parse_shard_json(to_shard_json(run_shard(corpus, i, of))));
+          parse_shard_json<BatchItemResult>(to_shard_json(run_shard(corpus, i, of))));
     EXPECT_EQ(to_json(merge_shards(shards)), reference) << "of=" << of;
   }
 }
@@ -67,7 +69,7 @@ TEST(Shard, EmptyCorpusRoundTrips) {
   const std::vector<BatchSpec> corpus;
   std::vector<ShardRun> shards;
   for (std::size_t i = 0; i < 2; ++i)
-    shards.push_back(parse_shard_json(to_shard_json(run_shard(corpus, i, 2))));
+    shards.push_back(parse_shard_json<BatchItemResult>(to_shard_json(run_shard(corpus, i, 2))));
   EXPECT_EQ(to_json(merge_shards(shards)), to_json(run_batch(corpus)));
 }
 
@@ -77,7 +79,7 @@ TEST(Shard, RecordsRoundTripEscapesAndDiagnostics) {
   ShardRun run;
   run.shard = 0;
   run.of = 1;
-  run.corpus = 2;
+  run.total = 2;
   BatchItemResult ok_item;
   ok_item.name = "quote\"back\\slash\nnewline\ttab\rcr\x01ctl";
   ok_item.ok = true;
@@ -93,15 +95,15 @@ TEST(Shard, RecordsRoundTripEscapesAndDiagnostics) {
   bad_item.ok = false;
   bad_item.diagnostic =
       BatchDiagnostic{"spec", "message with \\ and \"quotes\"\nand newline"};
-  run.items.push_back(ShardItem{0, ok_item});
-  run.items.push_back(ShardItem{1, bad_item});
+  run.items.push_back({0, ok_item});
+  run.items.push_back({1, bad_item});
 
   const std::string json = to_shard_json(run);
-  const ShardRun back = parse_shard_json(json);
+  const ShardRun back = parse_shard_json<BatchItemResult>(json);
   ASSERT_EQ(back.items.size(), 2u);
-  EXPECT_EQ(back.items[0].item.name, ok_item.name);
-  EXPECT_EQ(back.items[0].item.stages[0].detail, "7 states, \"quoted\"");
-  EXPECT_EQ(back.items[1].item.diagnostic.message,
+  EXPECT_EQ(back.items[0].record.name, ok_item.name);
+  EXPECT_EQ(back.items[0].record.stages[0].detail, "7 states, \"quoted\"");
+  EXPECT_EQ(back.items[1].record.diagnostic.message,
             bad_item.diagnostic.message);
   // Byte-exactness, not just field equality: re-serialize and compare.
   EXPECT_EQ(to_shard_json(back), json);
@@ -132,7 +134,7 @@ TEST(Shard, MergeValidatesTheShardSet) {
             std::string::npos);
 
   std::vector<ShardRun> corpus_mismatch = shards;
-  corpus_mismatch[2].corpus += 1;
+  corpus_mismatch[2].total += 1;
   EXPECT_NE(expect_merge_error(corpus_mismatch).find("corpus size"),
             std::string::npos);
 
@@ -201,24 +203,24 @@ TEST(Shard, FingerprintCoversNamesOrderModeAndCap) {
 
 TEST(Shard, ParserRejectsMalformedInput) {
   // Plain JSON breakage, each with a position-bearing Error.
-  EXPECT_THROW(parse_shard_json(""), Error);
-  EXPECT_THROW(parse_shard_json("{"), Error);
-  EXPECT_THROW(parse_shard_json("{}{}"), Error);
-  EXPECT_THROW(parse_shard_json("{\"schema\": }"), Error);
-  EXPECT_THROW(parse_shard_json("{\"a\": \"\\q\"}"), Error);
-  EXPECT_THROW(parse_shard_json("{\"a\": 1, \"a\": 2}"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>(""), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{}{}"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{\"schema\": }"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{\"a\": \"\\q\"}"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{\"a\": 1, \"a\": 2}"), Error);
   // Structurally valid JSON that is not a shard file.
-  EXPECT_THROW(parse_shard_json("[]"), Error);
-  EXPECT_THROW(parse_shard_json("{}"), Error);
-  EXPECT_THROW(parse_shard_json(
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("[]"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>("{}"), Error);
+  EXPECT_THROW(parse_shard_json<BatchItemResult>(
                    "{\"schema\": 1, \"kind\": \"notashard\", \"shard\": 0, "
                    "\"of\": 1, \"corpus\": 0, \"items\": []}"),
                Error);
-  EXPECT_THROW(parse_shard_json(
+  EXPECT_THROW(parse_shard_json<BatchItemResult>(
                    "{\"schema\": 1, \"kind\": \"shard\", \"shard\": 3, "
                    "\"of\": 2, \"corpus\": 0, \"items\": []}"),
                Error);
-  EXPECT_THROW(parse_shard_json(
+  EXPECT_THROW(parse_shard_json<BatchItemResult>(
                    "{\"schema\": 1, \"kind\": \"shard\", \"shard\": 0, "
                    "\"of\": 1, \"corpus\": 0, \"items\": 7}"),
                Error);
@@ -226,7 +228,7 @@ TEST(Shard, ParserRejectsMalformedInput) {
 
 TEST(Shard, ParserRejectsFutureSchemaVersions) {
   try {
-    parse_shard_json(
+    parse_shard_json<BatchItemResult>(
         "{\"schema\": 2, \"kind\": \"shard\", \"shard\": 0, \"of\": 1, "
         "\"corpus\": 0, \"items\": []}");
     FAIL() << "schema 2 accepted";
@@ -236,7 +238,7 @@ TEST(Shard, ParserRejectsFutureSchemaVersions) {
   }
 }
 
-// --- crash-tolerant resume (run_shard_resume) -------------------------------
+// --- crash-tolerant resume (run_shard with a partial) ----------------------
 
 std::vector<BatchSpec> small_corpus() {
   FlowOptions si;
@@ -253,8 +255,8 @@ TEST(ShardResume, FreshResumeEqualsRunShard) {
   const std::vector<BatchSpec> corpus = small_corpus();
   const ShardRun fresh = run_shard(corpus, 0, 2);
   std::size_t calls = 0;
-  const ShardRun resumed = run_shard_resume(
-      corpus, 0, 2, nullptr, {}, "", [&](std::size_t) { ++calls; });
+  const ShardRun resumed = run_shard(corpus, 0, 2, {}, nullptr, "",
+                                     [&](std::size_t) { ++calls; });
   EXPECT_EQ(to_shard_json(resumed), to_shard_json(fresh));
   EXPECT_EQ(calls, fresh.items.size());
 }
@@ -269,9 +271,8 @@ TEST(ShardResume, RecomputesOnlyTheMissingIndices) {
   partial.items.pop_back();                        // and index 3
 
   std::size_t computed = 0;
-  const ShardRun resumed = run_shard_resume(
-      corpus, 0, 1, &partial, {}, "",
-      [&](std::size_t n) { computed = n; });
+  const ShardRun resumed = run_shard(corpus, 0, 1, {}, &partial, "",
+                                     [&](std::size_t n) { computed = n; });
   EXPECT_EQ(computed, 2u) << "only the two dropped items are recomputed";
   // Byte-identical to a fresh run, however the work was split.
   EXPECT_EQ(to_shard_json(resumed), to_shard_json(fresh));
@@ -283,14 +284,13 @@ TEST(ShardResume, CancelledRecordsAreRecomputedNotReused) {
   ASSERT_FALSE(fresh.items.empty());
 
   ShardRun partial = fresh;
-  partial.items[0].item.ok = false;
-  partial.items[0].item.diagnostic =
+  partial.items[0].record.ok = false;
+  partial.items[0].record.diagnostic =
       BatchDiagnostic{"cancelled", "cancelled during reachability"};
 
   std::size_t computed = 0;
-  const ShardRun resumed = run_shard_resume(
-      corpus, 1, 2, &partial, {}, "",
-      [&](std::size_t n) { computed = n; });
+  const ShardRun resumed = run_shard(corpus, 1, 2, {}, &partial, "",
+                                     [&](std::size_t n) { computed = n; });
   EXPECT_EQ(computed, 1u) << "the cancelled record is schedule noise";
   EXPECT_EQ(to_shard_json(resumed), to_shard_json(fresh));
 }
@@ -299,7 +299,7 @@ std::string expect_resume_error(const std::vector<BatchSpec>& corpus,
                                 std::size_t shard, std::size_t of,
                                 const ShardRun& partial) {
   try {
-    run_shard_resume(corpus, shard, of, &partial);
+    run_shard(corpus, shard, of, {}, &partial);
   } catch (const Error& e) {
     return e.what();
   }
@@ -346,14 +346,14 @@ TEST(ShardResume, CheckpointIsAValidShardFileAfterEveryItem) {
   // file for this shard — that is exactly what a crashed process leaves
   // for the next --resume.
   std::size_t seen = 0;
-  const ShardRun run = run_shard_resume(
-      corpus, 0, 1, nullptr, {}, path, [&](std::size_t n) {
+  const ShardRun run = run_shard(
+      corpus, 0, 1, {}, nullptr, path, [&](std::size_t n) {
         seen = n;
         std::ifstream in(path, std::ios::binary);
         ASSERT_TRUE(in.good());
         std::ostringstream text;
         text << in.rdbuf();
-        const ShardRun snap = parse_shard_json(text.str());
+        const ShardRun snap = parse_shard_json<BatchItemResult>(text.str());
         EXPECT_EQ(snap.shard, 0u);
         EXPECT_EQ(snap.of, 1u);
         EXPECT_EQ(snap.items.size(), n);
@@ -372,8 +372,8 @@ TEST(ShardResume, ResumingACompletePartialComputesNothing) {
   const std::vector<BatchSpec> corpus = small_corpus();
   const ShardRun fresh = run_shard(corpus, 0, 1);
   std::size_t computed = 0;
-  const ShardRun resumed = run_shard_resume(
-      corpus, 0, 1, &fresh, {}, "", [&](std::size_t n) { computed = n; });
+  const ShardRun resumed = run_shard(corpus, 0, 1, {}, &fresh, "",
+                                     [&](std::size_t n) { computed = n; });
   EXPECT_EQ(computed, 0u);
   EXPECT_EQ(to_shard_json(resumed), to_shard_json(fresh));
 }
@@ -398,6 +398,107 @@ TEST(Shard, RunShardRespectsTheContext) {
   for (const auto& item : merged.items) {
     EXPECT_FALSE(item.ok);
     EXPECT_EQ(item.diagnostic.kind, "cancelled");
+  }
+}
+
+TEST(Shard, MergeMemoryIsBoundedByTheItemsNotTheHeader) {
+  // Headers claiming 10^15 records over an empty item list: the merge
+  // must reject them before allocating anything sized by the claim.
+  const std::string huge_batch =
+      "{\"schema\": 1, \"kind\": \"shard\", \"shard\": 0, \"of\": 1, "
+      "\"corpus\": 1000000000000000, \"fingerprint\": \"x\", \"ok\": 0, "
+      "\"failed\": 0, \"items\": []}";
+  const std::string huge_sweep =
+      "{\"schema\": 1, \"kind\": \"sweep-shard\", \"shard\": 0, "
+      "\"of\": 1, \"variants\": 1000000000000000, \"fingerprint\": \"x\", "
+      "\"spec\": \"mmu\", \"mode\": \"rt\", \"nets\": 1, "
+      "\"constraints\": 0, \"golden\": {\"cycles\": 1, \"ok\": true}, "
+      "\"items\": []}";
+  EXPECT_THROW(merge_shards({parse_shard_json<BatchItemResult>(huge_batch)}),
+               Error);
+  EXPECT_THROW(
+      merge_sweep_shards({parse_shard_json<SweepOutcome>(huge_sweep)}),
+      Error);
+}
+
+TEST(Shard, ReaderCapsNestingDepth) {
+  try {
+    parse_shard_json<BatchItemResult>(std::string(300000, '['));
+    FAIL() << "300000 nested arrays accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(64), "test JSON"));
+  EXPECT_THROW(parse_json(nested(65), "test JSON"), Error);
+}
+
+/// Seeded mutation coverage for the one reader: byte flips, truncations
+/// and splices of a valid batch shard file, sweep shard file and item
+/// record must each parse (and then merge or be rejected) or throw
+/// rtcad::Error — never crash or throw anything else.
+TEST(Shard, SeededMutantsParseOrThrowError) {
+  SweepShard sweep;
+  sweep.total = 3;
+  sweep.fingerprint = "00000000000000ab";
+  sweep.header = SweepHeader{"mmu", "rt", 12, 2, 40, true};
+  sweep.items.push_back({0, SweepOutcome{"fault", "net/1", true,
+                                         "violation", 7}});
+  sweep.items.push_back({1, SweepOutcome{"delay", "int=5:11 out=7:17 in=18:56",
+                                         false, "breaks:1", 3}});
+  sweep.items.push_back({2, SweepOutcome{"env", "seed=41 in=90:160", true,
+                                         "conforms", 9}});
+  const ShardRun batch = run_shard(small_corpus(), 0, 1);
+  const std::vector<std::string> seeds = {
+      to_shard_json(batch), to_shard_json(sweep),
+      item_record_json(batch.items[0].record)};
+  ASSERT_NO_THROW(merge_shards({parse_shard_json<BatchItemResult>(seeds[0])}));
+  ASSERT_NO_THROW(
+      merge_sweep_shards({parse_shard_json<SweepOutcome>(seeds[1])}));
+  ASSERT_NO_THROW(parse_item_record_json(seeds[2]));
+
+  const auto survives = [](const std::string& text) {
+    try {
+      merge_shards({parse_shard_json<BatchItemResult>(text)});
+    } catch (const Error&) {
+    }
+    try {
+      merge_sweep_shards({parse_shard_json<SweepOutcome>(text)});
+    } catch (const Error&) {
+    }
+    try {
+      parse_item_record_json(text);
+    } catch (const Error&) {
+    }
+  };
+  const std::string structural = "{}[]\",:0123456789-.e\\ntf";
+  Rng rng(14);
+  for (const std::string& seed : seeds) {
+    for (int m = 0; m < 300; ++m) {
+      std::string text = seed;
+      const std::size_t pos = rng.below(text.size());
+      switch (m % 3) {
+        case 0:  // byte flip: a random bit, or a structural character
+          if (rng.below(2))
+            text[pos] = static_cast<char>(text[pos] ^ (1 << rng.below(8)));
+          else
+            text[pos] = structural[rng.below(structural.size())];
+          break;
+        case 1:  // truncation
+          text.resize(pos);
+          break;
+        default: {  // splice: this seed's head onto any seed's tail
+          const std::string& other = seeds[rng.below(seeds.size())];
+          text = text.substr(0, pos) + other.substr(rng.below(other.size()));
+        }
+      }
+      SCOPED_TRACE(text);
+      survives(text);
+    }
   }
 }
 

@@ -65,9 +65,7 @@ TEST(SweepDeterminism, ShardedMergeMatchesDirectRunBytes) {
     FlowContext ctx;
     ctx.budget.corpus = threads[id];
     const SweepShard s = run_sweep_shard("mmu", spec, id, 3, opts, ctx);
-    const std::string text = to_sweep_shard_json(s);
-    ASSERT_TRUE(is_sweep_shard_json(text));
-    shards.push_back(parse_sweep_shard_json(text));
+    shards.push_back(parse_shard_json<SweepOutcome>(to_shard_json(s)));
   }
   EXPECT_EQ(to_sweep_json(merge_sweep_shards(shards)), direct);
 }

@@ -46,6 +46,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -978,6 +979,63 @@ int cmd_batch(int argc, char** argv) {
   return result.failed_count == 0 ? 0 : 1;
 }
 
+/// A merged shard set as the single-process artifact it stands for, with
+/// that command's exit code: a batch exits 1 if any item failed; sweep
+/// findings are results, not failures, so a sweep exits 0.
+std::pair<std::string, int> render_merged(const std::vector<ShardRun>& s) {
+  const BatchResult result = merge_shards(s);
+  return {to_json(result), result.failed_count == 0 ? 0 : 1};
+}
+std::pair<std::string, int> render_merged(const std::vector<SweepShard>& s) {
+  return {to_sweep_json(merge_sweep_shards(s)), 0};
+}
+
+template <typename Record>
+int merge_kind(const char* argv0, const char* cmd,
+               const std::vector<std::string>& paths,
+               const std::vector<Json>& roots, const std::string& out_path) {
+  std::vector<Shard<Record>> shards;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    try {
+      shards.push_back(read_shard<Record>(roots[i]));
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s %s: %s: %s\n", argv0, cmd, paths[i].c_str(),
+                   e.what());
+      return 1;
+    }
+  }
+  std::pair<std::string, int> merged;
+  try {
+    merged = render_merged(shards);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s %s: %s\n", argv0, cmd, e.what());
+    return 1;
+  }
+  return write_output(argv0, out_path, merged.first) ? merged.second : 1;
+}
+
+/// `merge`, and the tail of `drive`: read shard files of either kind
+/// through the one reader and merge them as the kind the first file
+/// names (a mixed set fails on the first file of the other kind).
+int merge_shard_files(const char* argv0, const char* cmd,
+                      const std::vector<std::string>& paths,
+                      const std::string& out_path) {
+  std::vector<Json> roots;
+  for (const std::string& path : paths) {
+    try {
+      roots.push_back(parse_json(read_file(path), "shard JSON"));
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s %s: %s: %s\n", argv0, cmd, path.c_str(),
+                   e.what());
+      return 1;
+    }
+  }
+  const Json* kind = roots[0].find("kind");
+  if (kind && kind->str == ShardFormat<SweepOutcome>::kKind)
+    return merge_kind<SweepOutcome>(argv0, cmd, paths, roots, out_path);
+  return merge_kind<BatchItemResult>(argv0, cmd, paths, roots, out_path);
+}
+
 /// Test-only crash injection for the `drive` retry machinery:
 /// RTFLOW_TEST_CRASH_AFTER="K:MARKER" makes a resumed shard _Exit(70)
 /// right after its K-th newly computed item is checkpointed — but only
@@ -1022,26 +1080,21 @@ int cmd_shard(int argc, char** argv) {
   CliContext cli(o);
   ShardRun run;
   try {
-    if (o.resume) {
-      ShardRun prior;
-      const ShardRun* partial = nullptr;
+    std::optional<ShardRun> partial;
+    if (o.resume)
       if (const std::optional<std::string> text =
-              read_file_if_exists(o.out_path)) {
-        prior = parse_shard_json(*text);
-        partial = &prior;
-      }
-      run = run_shard_resume(build_corpus(o), o.shard, o.shard_of, partial,
-                             cli.ctx, o.out_path,
-                             crash_injection_hook(o.shard));
-    } else {
-      run = run_shard(build_corpus(o), o.shard, o.shard_of, cli.ctx);
-    }
+              read_file_if_exists(o.out_path))
+        partial = parse_shard_json<BatchItemResult>(*text);
+    run = run_shard(build_corpus(o), o.shard, o.shard_of, cli.ctx,
+                    partial ? &*partial : nullptr, o.resume ? o.out_path : "",
+                    o.resume ? crash_injection_hook(o.shard) : nullptr);
   } catch (const Error& e) {
     std::fprintf(stderr, "%s shard: %s\n", argv[0], e.what());
     return 1;
   }
   int failed = 0;
-  for (const ShardItem& s : run.items) failed += s.item.ok ? 0 : 1;
+  for (const ShardItem<BatchItemResult>& s : run.items)
+    failed += s.record.ok ? 0 : 1;
   if (!write_output(argv[0], o.out_path, to_shard_json(run))) return 1;
   return failed == 0 ? 0 : 1;
 }
@@ -1113,7 +1166,7 @@ int cmd_sweep(int argc, char** argv) {
   std::string text;
   try {
     if (o.shard_of > 0)
-      text = to_sweep_shard_json(
+      text = to_shard_json(
           run_sweep_shard(name, spec, o.shard, o.shard_of, so, cli.ctx));
     else
       text = to_sweep_json(run_sweep(name, spec, so, cli.ctx));
@@ -1286,18 +1339,9 @@ int cmd_drive(int argc, char** argv) {
   }
   if (gave_up) return 1;
 
-  std::vector<ShardRun> runs;
-  BatchResult result;
-  try {
-    for (const Worker& w : workers) runs.push_back(parse_shard_json(
-        read_file(w.out)));
-    result = merge_shards(runs);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s drive: %s\n", argv[0], e.what());
-    return 1;
-  }
-  if (!write_output(argv[0], out_path, to_json(result))) return 1;
-  return result.failed_count == 0 ? 0 : 1;
+  std::vector<std::string> paths;
+  for (const Worker& w : workers) paths.push_back(w.out);
+  return merge_shard_files(argv[0], "drive", paths, out_path);
 }
 
 // --- serve / submit / cache -------------------------------------------------
@@ -1464,8 +1508,7 @@ int submit_batch(const char* argv0, const CliOptions& o,
       }
     }
   }
-  for (const BatchItemResult& item : result.items)
-    (item.ok ? result.ok_count : result.failed_count) += 1;
+  result = tally(std::move(result.items));
   if (!write_output(argv0, o.out_path, to_json(result))) return 1;
   return result.failed_count == 0 ? 0 : 1;
 }
@@ -1634,64 +1677,7 @@ int cmd_merge(int argc, char** argv) {
     print_command_usage(stderr, argv[0], "merge");
     return 2;
   }
-  std::vector<std::string> texts;
-  for (const std::string& path : o.positional) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "%s merge: cannot read '%s'\n", argv[0],
-                   path.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    texts.push_back(text.str());
-  }
-
-  // Kind dispatch off the first file: a complete merge set is either all
-  // batch shards or all sweep shards (a mix fails in the parsers below
-  // with the kind mismatch named).
-  if (is_sweep_shard_json(texts[0])) {
-    std::vector<SweepShard> shards;
-    for (std::size_t i = 0; i < texts.size(); ++i) {
-      try {
-        shards.push_back(parse_sweep_shard_json(texts[i]));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "%s merge: %s: %s\n", argv[0],
-                     o.positional[i].c_str(), e.what());
-        return 1;
-      }
-    }
-    SweepReport report;
-    try {
-      report = merge_sweep_shards(shards);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s merge: %s\n", argv[0], e.what());
-      return 1;
-    }
-    // Sweep findings (undetected faults, broken windows) are results,
-    // not failures: success is exit 0, matching `sweep` itself.
-    return write_output(argv[0], o.out_path, to_sweep_json(report)) ? 0 : 1;
-  }
-
-  std::vector<ShardRun> shards;
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    try {
-      shards.push_back(parse_shard_json(texts[i]));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s merge: %s: %s\n", argv[0],
-                   o.positional[i].c_str(), e.what());
-      return 1;
-    }
-  }
-  BatchResult result;
-  try {
-    result = merge_shards(shards);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s merge: %s\n", argv[0], e.what());
-    return 1;
-  }
-  if (!write_output(argv[0], o.out_path, to_json(result))) return 1;
-  return result.failed_count == 0 ? 0 : 1;
+  return merge_shard_files(argv[0], "merge", o.positional, o.out_path);
 }
 
 int cmd_list(int argc, char** argv) {
