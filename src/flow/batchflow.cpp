@@ -126,8 +126,11 @@ std::vector<BatchSpec> load_corpus_files(const std::vector<std::string>& paths,
       std::optional<Stg> generated;
       if (!std::filesystem::exists(path)) generated = generated_spec(path);
       item.spec = generated ? std::move(*generated) : parse_stg_file(path);
-    } catch (const ParseError& e) {
-      item.load_error = BatchDiagnostic{"parse", e.what()};
+    } catch (const SpecError& e) {
+      // Read, but rejected as a specification (Stg::validate(), or a
+      // generated-spec size out of range): the flow's verdict for a spec
+      // it rejects, not a syntax error.
+      item.load_error = BatchDiagnostic{"spec", e.what()};
     } catch (const Error& e) {
       item.load_error = BatchDiagnostic{"parse", e.what()};
     }

@@ -123,7 +123,9 @@ BatchItemResult to_batch_item(const std::string& name,
 std::vector<BatchSpec> builtin_corpus(int max_pipeline_stages = 6);
 
 /// Parse `.g` files into batch specs running under `opts` (item name = file
-/// path). Files that fail to parse become entries with `load_error` set.
+/// path). Files that fail to load become entries with `load_error` set:
+/// kind "spec" when the spec is read but rejected (a SpecError, e.g. from
+/// Stg::validate()), else "parse".
 std::vector<BatchSpec> load_corpus_files(const std::vector<std::string>& paths,
                                          const FlowOptions& opts = {});
 

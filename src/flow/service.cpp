@@ -263,6 +263,8 @@ struct FlowService::Impl {
     item.opts.stop_after = req.stop_after;
     try {
       item.spec = parse_stg_string(req.spec_text, req.name);
+    } catch (const SpecError& e) {
+      item.load_error = BatchDiagnostic{"spec", e.what()};
     } catch (const Error& e) {
       item.load_error = BatchDiagnostic{"parse", e.what()};
     }

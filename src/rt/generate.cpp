@@ -1,8 +1,9 @@
 #include "rt/generate.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "rt/reduce.hpp"
@@ -75,14 +76,21 @@ std::vector<int> pending_ages(const StateGraph& red, const StateGraph& orig,
 std::vector<RtAssumption> generate_assumptions(const StateGraph& sg,
                                                const GenerateOptions& opts) {
   const Stg& stg = sg.stg();
-  std::set<std::pair<int, int>> emitted;  // (edge key before, after)
+  const int num_keys = 2 * stg.num_signals();
+  // emitted[edge_key(before) * num_keys + edge_key(after)]: that ordering
+  // is already in `out`.
+  std::vector<char> emitted(static_cast<std::size_t>(num_keys) * num_keys, 0);
   std::vector<RtAssumption> out;
 
+  // Is the order of this pair already fixed, either way round?
+  const auto decided = [&](const Edge& a, const Edge& b) {
+    return emitted[edge_key(a) * num_keys + edge_key(b)] ||
+           emitted[edge_key(b) * num_keys + edge_key(a)];
+  };
   const auto emit = [&](const Edge& before, const Edge& after,
                         const std::string& rationale) {
-    if (emitted.count({edge_key(after), edge_key(before)})) return false;
-    if (!emitted.insert({edge_key(before), edge_key(after)}).second)
-      return false;
+    if (decided(before, after)) return false;
+    emitted[edge_key(before) * num_keys + edge_key(after)] = 1;
     RtAssumption a;
     a.before = before;
     a.after = after;
@@ -93,24 +101,30 @@ std::vector<RtAssumption> generate_assumptions(const StateGraph& sg,
   };
 
   // --- rule 1: delay classes on racing pairs -----------------------------
+  const int required = opts.outputs_beat_inputs || opts.ring_environment
+                           ? 1
+                           : opts.margin_classes;
+  std::vector<int> signal_class(stg.num_signals());
+  for (int sig = 0; sig < stg.num_signals(); ++sig)
+    signal_class[sig] = delay_class(stg, sig);
+  std::vector<Edge> excited;  // edges excited at the current state
+  excited.reserve(num_keys);
   for (int s = 0; s < sg.num_states(); ++s) {
-    // Collect excited edges at this state.
-    std::vector<Edge> excited;
-    for (int sig = 0; sig < stg.num_signals(); ++sig) {
-      for (Polarity pol : {Polarity::kRise, Polarity::kFall}) {
-        if (sg.excited(s, Edge{sig, pol}))
-          excited.push_back(Edge{sig, pol});
-      }
+    // Signal ascending, rise before fall.
+    excited.clear();
+    const std::uint64_t rise = sg.excited_rise_mask(s);
+    const std::uint64_t fall = sg.excited_fall_mask(s);
+    for (std::uint64_t live = rise | fall; live != 0; live &= live - 1) {
+      const int sig = std::countr_zero(live);
+      if (rise >> sig & 1) excited.push_back(Edge{sig, Polarity::kRise});
+      if (fall >> sig & 1) excited.push_back(Edge{sig, Polarity::kFall});
     }
     for (const Edge& fast : excited) {
       for (const Edge& slow : excited) {
         if (fast.signal == slow.signal) continue;
-        const int gap = delay_class(stg, slow.signal) -
-                        delay_class(stg, fast.signal);
-        const int required = opts.outputs_beat_inputs || opts.ring_environment
-                                 ? 1
-                                 : opts.margin_classes;
-        if (gap < required) continue;
+        if (signal_class[slow.signal] - signal_class[fast.signal] < required)
+          continue;
+        if (decided(fast, slow)) continue;
         emit(fast, slow,
              std::string(to_string(stg.signal(fast.signal).kind)) +
                  " gate beats " + to_string(stg.signal(slow.signal).kind) +

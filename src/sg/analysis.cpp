@@ -1,7 +1,6 @@
 #include "sg/analysis.hpp"
 
-#include <map>
-#include <unordered_map>
+#include <algorithm>
 
 namespace rtcad {
 
@@ -29,42 +28,54 @@ SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported) {
   }
 
   // --- complete state coding -------------------------------------------
-  // Group states by code; within a class, all states must agree on the
-  // next-state target of every non-input signal.
+  // Within a code class, all states must agree on the next-state target of
+  // every non-input signal. One sort of (code, target signature, state)
+  // keys lays the classes out in code order and, inside each, the distinct
+  // signatures in ascending order, each led by its lowest state.
   std::uint64_t noninput_mask = 0;
   for (int sig = 0; sig < stg.num_signals(); ++sig) {
     if (!stg.is_input(sig)) noninput_mask |= std::uint64_t{1} << sig;
   }
 
-  std::unordered_map<std::uint64_t, std::vector<int>> classes;
-  for (int s = 0; s < sg.num_states(); ++s) classes[sg.code(s)].push_back(s);
-
-  auto target_mask = [&](int state) {
-    std::uint64_t m = 0;
-    for (int sig = 0; sig < stg.num_signals(); ++sig) {
-      if (!(noninput_mask >> sig & 1)) continue;
-      if (sg.target_value(state, sig)) m |= std::uint64_t{1} << sig;
-    }
-    return m;
+  struct Key {
+    std::uint64_t code;
+    std::uint64_t signature;
+    int state;
   };
+  std::vector<Key> keys(static_cast<std::size_t>(sg.num_states()));
+  for (int s = 0; s < sg.num_states(); ++s) {
+    // target_value() of every signal at once: a rising edge heads to 1, a
+    // falling one to 0, a stable signal stays at its value.
+    const std::uint64_t code = sg.code(s);
+    const std::uint64_t target =
+        sg.excited_rise_mask(s) | (code & ~sg.excited_fall_mask(s));
+    keys[s] = Key{code, target & noninput_mask, s};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.code != b.code) return a.code < b.code;
+    if (a.signature != b.signature) return a.signature < b.signature;
+    return a.state < b.state;
+  });
 
-  for (auto& [code, members] : classes) {
-    if (members.size() < 2) continue;
+  std::vector<const Key*> firsts;  // one per distinct signature in a class
+  for (std::size_t begin = 0, end; begin < keys.size(); begin = end) {
+    end = begin + 1;
+    while (end < keys.size() && keys[end].code == keys[begin].code) ++end;
+    if (end - begin < 2) continue;
     ++out.usc_classes;
-    // Distinct target signatures within the class.
-    std::map<std::uint64_t, int> signatures;  // signature -> first state
-    for (int s : members) {
-      const std::uint64_t sig = target_mask(s);
-      auto [it, inserted] = signatures.emplace(sig, s);
-      if (!inserted) continue;
+    if (out.csc_conflicts.size() >= max_reported) continue;
+    firsts.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i == begin || keys[i].signature != keys[i - 1].signature)
+        firsts.push_back(&keys[i]);
     }
-    if (signatures.size() < 2) continue;
     // Report a conflict between each pair of distinct signatures.
-    for (auto a = signatures.begin(); a != signatures.end(); ++a) {
-      for (auto b = std::next(a); b != signatures.end(); ++b) {
+    for (std::size_t a = 0; a < firsts.size(); ++a) {
+      for (std::size_t b = a + 1; b < firsts.size(); ++b) {
         if (out.csc_conflicts.size() >= max_reported) break;
         out.csc_conflicts.push_back(
-            {a->second, b->second, a->first ^ b->first});
+            {firsts[a]->state, firsts[b]->state,
+             firsts[a]->signature ^ firsts[b]->signature});
       }
     }
   }

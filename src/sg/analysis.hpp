@@ -27,8 +27,15 @@ struct CscConflict {
   std::uint64_t differing_signals = 0;  ///< bitmask of conflicting signals
 };
 
+/// Each list holds min(total, max_reported) entries, so its size is the
+/// violation count up to the cap.
 struct SgAnalysis {
+  /// In state order, then out-edge order.
   std::vector<PersistencyViolation> persistency;
+  /// One entry per pair of distinct target signatures (bit s = next-state
+  /// value of non-input signal s) inside a code class. Ordered by code,
+  /// then by signature; each pair names the lowest state of each
+  /// signature, the smaller signature's state first.
   std::vector<CscConflict> csc_conflicts;
   /// Number of code classes holding more than one state (USC violations);
   /// benign unless they also appear in csc_conflicts.

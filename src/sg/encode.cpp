@@ -107,6 +107,14 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
                            " insertions");
       return result;
     }
+    if (result.stg.num_signals() >= Stg::kMaxSignals) {
+      result.log.push_back("gave up: " +
+                           std::to_string(analysis.csc_conflicts.size()) +
+                           " conflicts remain and the specification already "
+                           "has " + std::to_string(Stg::kMaxSignals) +
+                           " signals, no room for a state signal");
+      return result;
+    }
 
     const std::string name = "csc" + std::to_string(result.signals_added);
     const int base_conflicts =

@@ -73,7 +73,10 @@ struct EncodeResult {
 Stg insert_state_signal(const Stg& spec, const std::string& name,
                         int rise_trigger, int fall_trigger);
 
-/// Resolve CSC conflicts by iterated state-signal insertion.
+/// Resolve CSC conflicts by iterated state-signal insertion. Gives up
+/// (solved = false, with a log line) after `max_state_signals` insertions,
+/// or once the specification has Stg::kMaxSignals signals and no room for
+/// another.
 EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts = {});
 
 }  // namespace rtcad

@@ -95,7 +95,7 @@ std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
 }  // namespace
 
 StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
-  RTCAD_EXPECTS(stg.num_signals() <= 64);
+  RTCAD_EXPECTS(stg.num_signals() <= Stg::kMaxSignals);
   StateGraph sg;
   sg.stg_ = stg;
   sg.arena_ = std::make_shared<MarkingArena>(stg.num_places());

@@ -1,15 +1,38 @@
 #include "stg/stg.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace rtcad {
 
+// Word-at-a-time: one multiply per 8 bytes (the tail word zero-padded, read
+// with exactly n - i bytes), then one avalanche. Each step is a bijection of
+// the running state for a fixed word and of the word for a fixed state, so
+// markings that differ in any one byte always hash apart.
 std::size_t marking_hash(const std::uint8_t* m, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= m[i];
-    h *= 1099511628211ull;
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = 0x243f6a8885a308d3ull ^ n;
+  const auto mix = [&](std::uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, m + i, 8);
+    mix(word);
   }
+  if (i < n) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, m + i, n - i);
+    mix(word);
+  }
+  // MurmurHash3's fmix64 finalizer: the visited table indexes by low bits.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
   return static_cast<std::size_t>(h);
 }
 
@@ -215,6 +238,10 @@ int Stg::count_edges(int signal, Polarity pol) const {
 
 void Stg::validate() const {
   if (transitions_.empty()) throw SpecError("STG has no transitions");
+  if (num_signals() > kMaxSignals)
+    throw SpecError("STG has " + std::to_string(num_signals()) +
+                    " signals; at most " + std::to_string(kMaxSignals) +
+                    " are supported");
   for (int t = 0; t < num_transitions(); ++t) {
     const auto& tr = transitions_[t];
     if (tr.pre.empty())

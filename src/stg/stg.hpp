@@ -50,6 +50,9 @@ class Stg {
   void set_name(std::string n) { name_ = std::move(n); }
 
   // --- signals -----------------------------------------------------------
+  /// State codes and excitation masks are one 64-bit word, one bit per
+  /// signal; validate() rejects a specification with more signals.
+  static constexpr int kMaxSignals = 64;
   int add_signal(const std::string& name, SignalKind kind);
   int signal_id(const std::string& name) const;  ///< -1 if unknown
   const Signal& signal(int id) const { return signals_[id]; }
@@ -119,9 +122,10 @@ class Stg {
   void fire_into(const std::uint8_t* m, int t, Marking* next) const;
 
   // --- validation --------------------------------------------------------
-  /// Structural sanity: every transition connected, every signal used edge-
-  /// consistently (has both + and - transitions unless it never switches),
-  /// no isolated places. Throws SpecError on violation.
+  /// Structural sanity: at most kMaxSignals signals, every transition
+  /// connected, every signal used edge-consistently (has both + and -
+  /// transitions unless it never switches), no isolated places. Throws
+  /// SpecError on violation.
   void validate() const;
 
   /// Count transitions per signal & polarity (used by consistency checks).

@@ -3,29 +3,40 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
 
 #include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace rtcad {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open '" + path + "' for reading");
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (in.bad()) throw Error("read error on '" + path + "'");
-  return std::move(text).str();
+std::optional<std::string> read_file_if_exists(const std::string& path) {
+  // One open, judged by its errno. An existence check before or after it
+  // races the store's atomic rename and a concurrent prune's unlink; the
+  // open itself sees either a whole file or none.
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (!file) {
+    if (errno == ENOENT || errno == ENOTDIR) return std::nullopt;
+    throw Error("cannot open '" + path + "' for reading");
+  }
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> closer(file,
+                                                               &std::fclose);
+  std::string text;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, file)) > 0;)
+    text.append(buf, n);
+  if (std::ferror(file)) throw Error("read error on '" + path + "'");
+  return text;
 }
 
-std::optional<std::string> read_file_if_exists(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return std::nullopt;
-  return read_file(path);
+std::string read_file(const std::string& path) {
+  std::optional<std::string> text = read_file_if_exists(path);
+  if (!text) throw Error("cannot open '" + path + "' for reading");
+  return std::move(*text);
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {

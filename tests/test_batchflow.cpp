@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "flow/flow.hpp"
+#include "generated_stgs.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 
@@ -118,6 +119,25 @@ TEST(BatchFlow, UnparsableFileBecomesParseDiagnostic) {
   EXPECT_TRUE(r.items[0].ok) << r.items[0].diagnostic.message;
   EXPECT_FALSE(r.items[1].ok);
   EXPECT_EQ(r.items[1].diagnostic.kind, "parse");
+}
+
+TEST(BatchFlow, FileFailingValidationBecomesSpecDiagnostic) {
+  // 65 signals parse fine but exceed a 64-bit state code: Stg::validate()
+  // rejects the file with the kind the flow gives that spec built in code.
+  const std::string path = ::testing::TempDir() + "/batch_wide65.g";
+  {
+    std::ofstream wide(path);
+    wide << write_stg(wide_ring_stg(65));
+  }
+  const std::vector<BatchSpec> corpus = load_corpus_files({path});
+  ASSERT_EQ(corpus.size(), 1u);
+  ASSERT_TRUE(corpus[0].load_error.has_value());
+  EXPECT_EQ(corpus[0].load_error->kind, "spec");
+  EXPECT_NE(corpus[0].load_error->message.find("65 signals"),
+            std::string::npos);
+  const BatchResult r = run_batch(corpus);
+  EXPECT_EQ(r.failed_count, 1);
+  EXPECT_EQ(r.items[0].diagnostic.kind, "spec");
 }
 
 TEST(BatchFlow, MissingFileBecomesParseDiagnosticVerbatim) {

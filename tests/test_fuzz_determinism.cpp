@@ -1,15 +1,8 @@
 // Seeded random-STG fuzzing: the sequential-vs-parallel determinism
-// contract must hold beyond the hand-picked corpus. Each seed builds a
-// bounded random STG from one or two ring backbones (rise-before-fall
-// interleaving keeps a lone ring consistent) plus random cross arcs,
-// which inject the interesting regimes on purpose:
-//
-//  * two free-running rings  -> real concurrency (wide BFS frontiers);
-//  * a signal whose rise and fall land in different rings -> firing
-//    counts diverge -> consistency errors;
-//  * a cross arc fed by one ring faster than the other drains it ->
-//    token-bound / state-cap errors;
-//  * sync arcs without tokens -> deadlocks (legal, just terminal states).
+// contract must hold beyond the hand-picked corpus. Each seed builds one
+// random_stg (tests/generated_stgs.hpp), a generator that injects wide
+// frontiers, consistency errors, token-bound and state-cap errors and
+// deadlocks on purpose.
 //
 // For every seed that builds, the excitation sweep is rerun at 8 workers
 // and compared with the sequential graph, and solve_csc, the scenario
@@ -21,78 +14,18 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "flow/flow.hpp"
+#include "generated_stgs.hpp"
 #include "rt/generate.hpp"
 #include "sg/encode.hpp"
 #include "sg/stategraph.hpp"
 #include "stg/stg.hpp"
-#include "util/rng.hpp"
 
 namespace rtcad {
 namespace {
 
 constexpr std::uint64_t kSeeds = 200;
-
-Stg random_stg(std::uint64_t seed) {
-  Rng rng(seed);
-  Stg stg("fuzz" + std::to_string(seed));
-  const int num_signals = 2 + static_cast<int>(rng.below(3));  // 2..4
-  const int num_rings = 1 + static_cast<int>(rng.below(2));    // 1..2
-
-  std::vector<std::vector<int>> rings(num_rings);
-  std::vector<std::pair<int, int>> edges_of;  // signal -> (rise, fall)
-  for (int s = 0; s < num_signals; ++s) {
-    static const SignalKind kinds[] = {SignalKind::kInput, SignalKind::kOutput,
-                                       SignalKind::kInternal};
-    const int sig = stg.add_signal(std::string(1, static_cast<char>('a' + s)),
-                                   kinds[rng.below(3)]);
-    const int rise = stg.add_transition(Edge{sig, Polarity::kRise});
-    const int fall = stg.add_transition(Edge{sig, Polarity::kFall});
-    edges_of.emplace_back(rise, fall);
-    const int r = static_cast<int>(rng.below(num_rings));
-    rings[r].push_back(rise);
-    // Occasionally split a signal across rings: its firing counts can then
-    // diverge, which is the consistency-error regime.
-    const bool split = num_rings > 1 && rng.chance(0.15);
-    rings[split ? 1 - r : r].push_back(fall);
-  }
-
-  for (auto& ring : rings) {
-    if (ring.empty()) continue;
-    // Fisher-Yates shuffle, then restore rise-before-fall for signals whose
-    // two transitions share this ring, so a lone ring is always consistent.
-    for (std::size_t i = ring.size(); i > 1; --i)
-      std::swap(ring[i - 1], ring[rng.below(i)]);
-    for (const auto& [rise, fall] : edges_of) {
-      int rise_at = -1, fall_at = -1;
-      for (std::size_t i = 0; i < ring.size(); ++i) {
-        if (ring[i] == rise) rise_at = static_cast<int>(i);
-        if (ring[i] == fall) fall_at = static_cast<int>(i);
-      }
-      if (rise_at >= 0 && fall_at >= 0 && fall_at < rise_at)
-        std::swap(ring[rise_at], ring[fall_at]);
-    }
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      stg.add_arc_tt(ring[i], ring[(i + 1) % ring.size()],
-                     i + 1 == ring.size() ? 1 : 0);
-    }
-  }
-
-  // Random cross arcs: synchronization, extra concurrency, deadlock, and
-  // (between rings running at different rates) unboundedness.
-  const int num_t = stg.num_transitions();
-  const int extra = static_cast<int>(rng.below(4));
-  for (int e = 0; e < extra; ++e) {
-    const int a = static_cast<int>(rng.below(num_t));
-    const int b = static_cast<int>(rng.below(num_t));
-    if (a == b) continue;
-    stg.add_arc_tt(a, b, static_cast<std::uint8_t>(rng.below(2)));
-  }
-  return stg;
-}
 
 std::string build_error(const Stg& stg, const SgOptions& opts) {
   try {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "flow/flow.hpp"
+#include "generated_stgs.hpp"
 #include "stg/builders.hpp"
 
 namespace rtcad {
@@ -455,6 +456,27 @@ TEST(FlowPipeline, BatchItemCarriesTheNetlistBytes) {
   EXPECT_EQ(cut.literals, 0);
   EXPECT_EQ(cut.transistors, 0);
   EXPECT_TRUE(cut.netlist_text.empty());
+}
+
+TEST(FlowPipeline, SpecsPastTheSignalLimitFailAsSpecItems) {
+  // State codes hold 64 signals. A 65-signal spec fails validation, and a
+  // 64-signal spec with CSC conflicts leaves encode no room for a state
+  // signal: both end as `spec` diagnostics, never as a contract abort that
+  // would take a serving daemon down with them.
+  const BatchItemResult wide =
+      run_batch_item(BatchSpec{"wide65", wide_ring_stg(65), rt_opts(), {}},
+                     FlowContext{});
+  EXPECT_FALSE(wide.ok);
+  EXPECT_EQ(wide.diagnostic.kind, "spec");
+  EXPECT_NE(wide.diagnostic.message.find("65 signals"), std::string::npos)
+      << wide.diagnostic.message;
+
+  FlowOptions to_encode = si_opts();
+  to_encode.stop_after = "encode";
+  const BatchItemResult full = run_batch_item(
+      BatchSpec{"wide64", wide_ring_stg(64), to_encode, {}}, FlowContext{});
+  EXPECT_FALSE(full.ok);
+  EXPECT_EQ(full.diagnostic.kind, "spec");
 }
 
 }  // namespace

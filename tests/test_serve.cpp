@@ -12,6 +12,7 @@
 
 #include "flow/flow.hpp"
 #include "flow/json.hpp"
+#include "generated_stgs.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 
@@ -163,6 +164,18 @@ TEST_F(ServeTest, ParseFailureComesBackAsALoadErrorRecord) {
   const BatchItemResult item = parse_item_record_json(res.record_json);
   EXPECT_FALSE(item.ok);
   EXPECT_EQ(item.diagnostic.kind, "parse");
+
+  // A spec that parses but fails validation (65 signals, one more than a
+  // state code holds) is a spec verdict, and the daemon survives it.
+  req.name = "wide65";
+  req.spec_text = write_stg(wide_ring_stg(65));
+  const SubmitResult wide = serve_submit(socket(), req);
+  ASSERT_TRUE(wide.protocol_ok) << wide.error;
+  EXPECT_EQ(wide.key, "-");
+  const BatchItemResult rejected = parse_item_record_json(wide.record_json);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.diagnostic.kind, "spec");
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
 }
 
 TEST_F(ServeTest, ControlVerbsAndProtocolErrors) {

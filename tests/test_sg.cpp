@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "generated_stgs.hpp"
 #include "sg/analysis.hpp"
 #include "sg/encode.hpp"
 #include "sg/stategraph.hpp"
@@ -241,6 +242,17 @@ TEST(Encode, NoOpOnCleanSpec) {
   const EncodeResult r = solve_csc(celement_stg());
   EXPECT_TRUE(r.solved);
   EXPECT_EQ(r.signals_added, 0);
+}
+
+TEST(Encode, GivesUpWithNoRoomForAStateSignal) {
+  // Every candidate would add a 65th signal, past what a state code holds.
+  const EncodeResult r = solve_csc(wide_ring_stg(Stg::kMaxSignals));
+  EXPECT_FALSE(r.solved);
+  EXPECT_EQ(r.signals_added, 0);
+  EXPECT_TRUE(r.rounds.empty());
+  ASSERT_EQ(r.log.size(), 1u);
+  EXPECT_NE(r.log[0].find("already has 64 signals"), std::string::npos)
+      << r.log[0];
 }
 
 class PipelineParam : public ::testing::TestWithParam<int> {};

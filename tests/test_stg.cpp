@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "generated_stgs.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 #include "stg/stg.hpp"
@@ -67,6 +68,35 @@ TEST(Stg, ValidateRejectsSourcelessTransition) {
   stg.add_transition(Edge{a, Polarity::kRise});
   stg.add_transition(Edge{a, Polarity::kFall});
   EXPECT_THROW(stg.validate(), SpecError);
+}
+
+TEST(Stg, ValidateRejectsMoreThan64Signals) {
+  // State codes are one 64-bit word: a 65th signal is a spec error, not a
+  // contract abort in the state-graph builder.
+  EXPECT_NO_THROW(wide_ring_stg(Stg::kMaxSignals).validate());
+  EXPECT_THROW(wide_ring_stg(Stg::kMaxSignals + 1).validate(), SpecError);
+}
+
+TEST(MarkingHash, ReadsExactlyTheMarkingAndEveryByteOfIt) {
+  // Each marking is the whole of its own heap block, so reading past byte
+  // n is a heap overflow under ASan. Every single-bit flip must change the
+  // hash: a tail read short would leave the markings that differ only in
+  // their last n % 8 bytes on one probe chain.
+  for (std::size_t n = 0; n <= 40; ++n) {
+    Marking m(n);
+    for (std::size_t i = 0; i < n; ++i)
+      m[i] = static_cast<std::uint8_t>(i * 37 + n);
+    const std::size_t h = marking_hash(m.data(), n);
+    EXPECT_EQ(marking_hash(m), h);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        m[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(marking_hash(m.data(), n), h)
+            << "length " << n << ", byte " << i << ", bit " << bit;
+        m[i] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+  }
 }
 
 TEST(Stg, RemoveArc) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "util/bitvec.hpp"
+#include "util/check.hpp"
+#include "util/fsio.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -138,6 +143,24 @@ TEST(Table, RendersAligned) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("| alpha |"), std::string::npos);
   EXPECT_NE(s.find("|    22 |"), std::string::npos);  // right aligned
+}
+
+TEST(Fsio, ReadFileIfExistsTellsAbsentFromUnreadable) {
+  const std::string dir = ::testing::TempDir() + "/rtcad_fsio";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/entry";
+  EXPECT_FALSE(read_file_if_exists(path).has_value());
+
+  // Larger than one read chunk, with a NUL byte inside.
+  const std::string bytes = std::string("a\0b", 3) + std::string(70000, 'x');
+  atomic_write_file(path, bytes);
+  EXPECT_EQ(read_file_if_exists(path), bytes);
+  // A path through a regular file names nothing: absent, not an error.
+  EXPECT_FALSE(read_file_if_exists(path + "/below").has_value());
+  // A directory exists but holds no bytes to read.
+  EXPECT_THROW(read_file_if_exists(dir), Error);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
