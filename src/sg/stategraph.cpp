@@ -1,7 +1,7 @@
 #include "sg/stategraph.hpp"
 
+#include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <utility>
 
 #include "util/workpool.hpp"
@@ -92,13 +92,101 @@ std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
   return par ^ (std::uint64_t{1} << label->signal);
 }
 
+// The explore loop's token game, compiled once per build() against the
+// arena it runs on. Both games keep one contract: enabled(row, t) is the
+// firing rule, and fire(row, t, next), called only for a transition
+// enabled(row, t) has just passed, writes the successor row into `next`
+// without re-checking that precondition. A row is the arena's stride() bytes,
+// read as Words.
+
+// Bit rows for 1-safe nets: a pre and a post mask per transition, side by
+// side in one array.
+class BitGame {
+ public:
+  using Word = std::uint64_t;
+  static constexpr MarkingArena::Format kFormat = MarkingArena::Format::kBits;
+
+  BitGame(const Stg& stg, const MarkingArena& arena)
+      : width_(arena.stride() / 8),
+        masks_(2 * static_cast<std::size_t>(stg.num_transitions()) * width_) {
+    // The arena writes the masks, so the bit layout stays arena.hpp's
+    // alone. A repeated arc (which validate() rejects) fails its
+    // precondition.
+    auto* out = reinterpret_cast<std::uint8_t*>(masks_.data());
+    for (int t = 0; t < stg.num_transitions(); ++t) {
+      arena.encode_set(stg.transition(t).pre, out);
+      arena.encode_set(stg.transition(t).post, out + arena.stride());
+      out += 2 * arena.stride();
+    }
+  }
+
+  bool enabled(const Word* row, int t) const {
+    const Word* pre = masks_.data() + 2 * static_cast<std::size_t>(t) * width_;
+    for (int w = 0; w < width_; ++w) {
+      if ((row[w] & pre[w]) != pre[w]) return false;
+    }
+    return true;
+  }
+
+  /// False when the firing would put a second token on a place: the net
+  /// is not 1-safe, and build() explores it again with byte rows.
+  bool fire(const Word* row, int t, Word* next) const {
+    const Word* pre = masks_.data() + 2 * static_cast<std::size_t>(t) * width_;
+    const Word* post = pre + width_;
+    for (int w = 0; w < width_; ++w) {
+      const Word rest = row[w] & ~pre[w];
+      if (rest & post[w]) return false;
+      next[w] = rest | post[w];
+    }
+    return true;
+  }
+
+ private:
+  int width_;
+  std::vector<Word> masks_;  ///< per transition: pre words, then post words
+};
+
+// Byte rows (one token count per place), played on the Stg's own place
+// lists in arc order, so the token-bound error names the same place
+// Stg::fire() would.
+class ByteGame {
+ public:
+  using Word = std::uint8_t;
+  static constexpr MarkingArena::Format kFormat = MarkingArena::Format::kBytes;
+
+  ByteGame(const Stg& stg, const MarkingArena& arena)
+      : stg_(stg), width_(arena.stride()) {}
+
+  bool enabled(const Word* row, int t) const {
+    for (int p : stg_.transition(t).pre) {
+      if (row[p] == 0) return false;
+    }
+    return true;
+  }
+
+  bool fire(const Word* row, int t, Word* next) const {
+    std::copy_n(row, width_, next);
+    for (int p : stg_.transition(t).pre) --next[p];
+    for (int p : stg_.transition(t).post) {
+      if (next[p] == 255)
+        throw SpecError("place '" + stg_.place(p).name +
+                        "' exceeds token bound");
+      ++next[p];
+    }
+    return true;
+  }
+
+ private:
+  const Stg& stg_;
+  int width_;
+};
+
 }  // namespace
 
 StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   RTCAD_EXPECTS(stg.num_signals() <= Stg::kMaxSignals);
   StateGraph sg;
   sg.stg_ = stg;
-  sg.arena_ = std::make_shared<MarkingArena>(stg.num_places());
 
   // Phase 1: explore markings, assigning each a parity vector
   // (bit s = number of s-transitions fired along the discovery path, mod 2)
@@ -106,9 +194,20 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // assigned in BFS discovery order and the frontier is consumed in id
   // order, so the out-edges of each state are emitted consecutively — the
   // flat CSR arrays fill in their final order with no sorting pass.
+  //
+  // A net whose initial marking has at most one token per place is
+  // explored on bit rows. Its first firing that would put a second token
+  // on a place abandons that attempt, and the net is explored again from
+  // scratch on byte rows. Both explorations fire the same transitions in
+  // the same order up to that firing, so the graph and any error are the
+  // same either way.
   std::vector<std::uint64_t> parity;
-  std::vector<signed char> v0(64, -1);  // -1 unknown, else 0/1
-  sg.explore(opts, &parity, &v0);
+  std::vector<signed char> v0;
+  bool one_safe = true;
+  for (int p = 0; p < stg.num_places(); ++p)
+    one_safe = one_safe && stg.place(p).initial_tokens <= 1;
+  if (!one_safe || !sg.explore<BitGame>(opts, &parity, &v0))
+    sg.explore<ByteGame>(opts, &parity, &v0);
 
   // Signals with an explicitly declared initial value win over inference
   // only when inference produced no constraint.
@@ -128,28 +227,41 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   return sg;
 }
 
-void StateGraph::explore(const SgOptions& opts,
+template <typename Game>
+bool StateGraph::explore(const SgOptions& opts,
                          std::vector<std::uint64_t>* parity_out,
                          std::vector<signed char>* v0_out) {
+  using Word = typename Game::Word;
   const Stg& stg = stg_;
   std::vector<std::uint64_t>& parity = *parity_out;
+  arena_ = std::make_shared<MarkingArena>(stg.num_places(), Game::kFormat);
   MarkingArena& arena = *arena_;
+  const Game game(stg, arena);
+  const std::size_t stride = static_cast<std::size_t>(arena.stride());
+  states_.clear();
+  out_row_.clear();
+  edge_transition_.clear();
+  edge_successor_.clear();
+  level_sizes_.clear();
+  parity.clear();
+  v0_out->assign(64, -1);  // -1 unknown, else 0/1
+
+  // Scratch rows reused across the whole exploration: the state being
+  // expanded (copied out, since the arena may reallocate while appending
+  // successors) and the firing target.
+  std::vector<Word> row(stride / sizeof(Word));
+  std::vector<Word> next(row.size());
+  auto* next_bytes = reinterpret_cast<std::uint8_t*>(next.data());
 
   VisitedTable index;
-  const Marking m0 = stg.initial_marking();
-  states_.push_back(SgState{0, arena.append(m0.data())});
+  arena.encode(stg.initial_marking(), next_bytes);
+  states_.push_back(SgState{0, arena.append(next_bytes)});
   parity.push_back(0);
   {
-    const auto seeded = index.find_or_insert(m0.data(), marking_hash(m0), 0,
-                                             arena);
+    const auto seeded = index.find_or_insert(
+        next_bytes, marking_hash(next_bytes, stride), 0, arena);
     RTCAD_ASSERT(seeded.second);
   }
-
-  // Scratch buffers reused across the whole exploration: firing target,
-  // enabled-transition list and the current marking are the per-edge
-  // allocations this loop must not make.
-  Marking marking, next;
-  std::vector<int> enabled;
 
   // BFS level tracking: ids are assigned in discovery order, so each level
   // is a contiguous id range and crossing `level_boundary` means every
@@ -160,6 +272,7 @@ void StateGraph::explore(const SgOptions& opts,
   // at each level boundary below.
   if (opts.cancel) opts.cancel->check("state-graph build");
 
+  const int num_transitions = stg.num_transitions();
   for (int si = 0; si < static_cast<int>(states_.size()); ++si) {
     if (static_cast<std::size_t>(si) == level_boundary) {
       level_sizes_.push_back(static_cast<int>(level_boundary - level_begin));
@@ -168,25 +281,24 @@ void StateGraph::explore(const SgOptions& opts,
       if (opts.cancel) opts.cancel->check("state-graph build");
     }
     out_row_.push_back(static_cast<int>(edge_transition_.size()));
-    // Copy into scratch: the arena may reallocate while appending
-    // successors.
-    const std::uint8_t* row = arena.row(states_[si].slot);
-    marking.assign(row, row + arena.stride());
+    std::copy_n(arena.row(states_[si].slot), stride,
+                reinterpret_cast<std::uint8_t*>(row.data()));
     const std::uint64_t par = parity[si];
 
-    stg.enabled_transitions(marking, &enabled);
-    for (int t : enabled) {
+    for (int t = 0; t < num_transitions; ++t) {
+      if (!game.enabled(row.data(), t)) continue;
       const std::uint64_t next_par = apply_edge_parity(stg, t, par, v0_out);
-      stg.fire_into(marking, t, &next);
+      if (!game.fire(row.data(), t, next.data())) return false;
       const int candidate_id = static_cast<int>(states_.size());
-      const auto insertion = index.find_or_insert(
-          next.data(), marking_hash(next), candidate_id, arena);
+      const auto insertion =
+          index.find_or_insert(next_bytes, marking_hash(next_bytes, stride),
+                               candidate_id, arena);
       const int succ_id = insertion.first;
       if (insertion.second) {
         if (states_.size() >= opts.max_states)
           throw SpecError("state graph of '" + stg.name() + "' exceeds " +
                           std::to_string(opts.max_states) + " states");
-        states_.push_back(SgState{0, arena.append(next.data())});
+        states_.push_back(SgState{0, arena.append(next_bytes)});
         parity.push_back(next_par);
       } else if (parity[succ_id] != next_par) {
         throw SpecError("STG '" + stg.name() +
@@ -199,6 +311,7 @@ void StateGraph::explore(const SgOptions& opts,
   }
   out_row_.push_back(static_cast<int>(edge_transition_.size()));
   level_sizes_.push_back(static_cast<int>(states_.size() - level_begin));
+  return true;
 }
 
 void StateGraph::rebuild_reverse_csr(int /*threads*/) {
@@ -365,17 +478,15 @@ int StateGraph::successor_by_transition(int state, int transition) const {
 
 bool identical_graphs(const StateGraph& a, const StateGraph& b) {
   if (a.num_states() != b.num_states() || a.num_edges() != b.num_edges() ||
-      a.marking_stride() != b.marking_stride() ||
       a.level_sizes() != b.level_sizes())
     return false;
-  const std::size_t stride = static_cast<std::size_t>(a.marking_stride());
   for (int s = 0; s < a.num_states(); ++s) {
     if (a.code(s) != b.code(s) || a.old_state_of(s) != b.old_state_of(s) ||
         a.excited_rise_mask(s) != b.excited_rise_mask(s) ||
         a.excited_fall_mask(s) != b.excited_fall_mask(s) ||
         a.out_degree(s) != b.out_degree(s) ||
         a.in_degree(s) != b.in_degree(s) ||
-        std::memcmp(a.marking_data(s), b.marking_data(s), stride) != 0)
+        a.marking_copy(s) != b.marking_copy(s))
       return false;
     for (int i = 0; i < a.out_degree(s); ++i) {
       if (a.out_edges(s)[i].transition != b.out_edges(s)[i].transition ||

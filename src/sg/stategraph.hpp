@@ -102,10 +102,13 @@ class StateGraph {
   /// Explore the full reachability graph. Throws SpecError on
   /// inconsistency, unboundedness, or state overflow. The StateGraph keeps
   /// its own copy of the specification (callers may pass temporaries).
-  /// The exploration loop is the flow's hot path: visited markings live in
-  /// an open-addressed table, firing reuses scratch buffers, and the BFS
-  /// emits edges in CSR order directly, so cost is ~O(edges) with no
-  /// per-edge heap allocation (see stategraph.cpp). Exploration and the
+  /// The exploration loop is the flow's hot path: it runs its own token
+  /// game, compiled once per build for the arena's row format (bit masks
+  /// for 1-safe nets, place lists otherwise; see arena.hpp), visited
+  /// markings live in an open-addressed table, firing reuses scratch rows,
+  /// and the BFS emits edges in CSR order directly, so cost is ~O(edges)
+  /// with no per-edge heap allocation (see stategraph.cpp). The row format
+  /// never changes the graph or an error. Exploration and the
   /// counting-sort transpose run on the calling thread; only the excitation
   /// sweep fans out, on `opts.threads` workers once the graph has 32k
   /// edges. Each state writes only its own masks there, so the graph and
@@ -116,14 +119,8 @@ class StateGraph {
   int num_states() const { return static_cast<int>(states_.size()); }
   int initial_state() const { return 0; }
 
-  /// Marking of state `i` as a raw arena row of marking_stride() bytes
-  /// (token count per place). Valid as long as the graph (or any graph
-  /// sharing its arena) is alive.
-  const std::uint8_t* marking_data(int i) const {
-    return arena_->row(states_[i].slot);
-  }
-  int marking_stride() const { return arena_->stride(); }
-  /// Owned copy for cold paths (tests, diagnostics).
+  /// Marking of state `i`, decoded from its arena row into token counts.
+  /// For cold paths (tests, diagnostics).
   Marking marking_copy(int i) const { return arena_->copy(states_[i].slot); }
   std::uint64_t code(int i) const { return states_[i].code; }
   bool value(int state, int signal) const {
@@ -224,8 +221,8 @@ class StateGraph {
   /// Memory gauges for big-graph diagnosability (reported in the
   /// reachability stage trace and perfbench's `sg.arena_mb` / `sg.csr_mb`).
   /// Both are exact properties of the graph, identical at any thread count.
-  /// A filtered graph reports the shared root arena's bytes — that is what
-  /// actually stays resident.
+  /// The arena gauge is states × row stride. A filtered graph reports the
+  /// shared root arena's bytes — that is what actually stays resident.
   std::size_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
   std::size_t csr_bytes() const {
     return (out_row_.size() + edge_transition_.size() +
@@ -270,9 +267,12 @@ class StateGraph {
   std::vector<std::uint64_t> excited_rise_, excited_fall_;
   std::vector<int> level_sizes_;  ///< BFS frontier size per level (build only)
 
-  // Exploration phase of build(): fill states_/out CSR/level_sizes_ and the
-  // per-state switching parities; v0 accumulates initial-value constraints.
-  void explore(const SgOptions& opts, std::vector<std::uint64_t>* parity,
+  // Exploration phase of build() on a fresh arena in the row format of
+  // `Game`: fill states_/out CSR/level_sizes_ and the per-state switching
+  // parities; v0 accumulates initial-value constraints. Returns false when
+  // a firing leaves the row format (build() then starts over on byte rows).
+  template <typename Game>
+  bool explore(const SgOptions& opts, std::vector<std::uint64_t>* parity,
                std::vector<signed char>* v0);
 };
 

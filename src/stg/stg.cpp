@@ -190,7 +190,7 @@ Marking Stg::initial_marking() const {
   return m;
 }
 
-bool Stg::enabled(const std::uint8_t* m, int t) const {
+bool Stg::enabled(const Marking& m, int t) const {
   for (int p : transitions_[t].pre) {
     if (m[p] == 0) return false;
   }
@@ -199,33 +199,22 @@ bool Stg::enabled(const std::uint8_t* m, int t) const {
 
 std::vector<int> Stg::enabled_transitions(const Marking& m) const {
   std::vector<int> out;
-  enabled_transitions(m, &out);
+  for (int t = 0; t < num_transitions(); ++t) {
+    if (enabled(m, t)) out.push_back(t);
+  }
   return out;
 }
 
-void Stg::enabled_transitions(const std::uint8_t* m,
-                              std::vector<int>* out) const {
-  out->clear();
-  for (int t = 0; t < num_transitions(); ++t) {
-    if (enabled(m, t)) out->push_back(t);
-  }
-}
-
 Marking Stg::fire(const Marking& m, int t) const {
-  Marking next;
-  fire_into(m, t, &next);
-  return next;
-}
-
-void Stg::fire_into(const std::uint8_t* m, int t, Marking* next) const {
   RTCAD_EXPECTS(enabled(m, t));
-  next->assign(m, m + places_.size());
-  for (int p : transitions_[t].pre) --(*next)[p];
+  Marking next = m;
+  for (int p : transitions_[t].pre) --next[p];
   for (int p : transitions_[t].post) {
-    if ((*next)[p] == 255)
+    if (next[p] == 255)
       throw SpecError("place '" + places_[p].name + "' exceeds token bound");
-    ++(*next)[p];
+    ++next[p];
   }
+  return next;
 }
 
 int Stg::count_edges(int signal, Polarity pol) const {
@@ -242,11 +231,26 @@ void Stg::validate() const {
     throw SpecError("STG has " + std::to_string(num_signals()) +
                     " signals; at most " + std::to_string(kMaxSignals) +
                     " are supported");
+  // The token game has no arc weights: a place listed twice would be
+  // checked for one token but lose (or gain) two.
+  std::vector<int> seen(places_.size(), -1);
+  const auto reject_repeats = [&](int t, const std::vector<int>& places,
+                                  const char* side, int stamp) {
+    for (int p : places) {
+      if (seen[p] == stamp)
+        throw SpecError("transition '" + transition_name(t) +
+                        "' lists place '" + places_[p].name + "' twice in " +
+                        "its " + side + " set; arcs carry no weight");
+      seen[p] = stamp;
+    }
+  };
   for (int t = 0; t < num_transitions(); ++t) {
     const auto& tr = transitions_[t];
     if (tr.pre.empty())
       throw SpecError("transition '" + transition_name(t) +
                       "' has no input places (would be always enabled)");
+    reject_repeats(t, tr.pre, "pre", 2 * t);
+    reject_repeats(t, tr.post, "post", 2 * t + 1);
   }
   for (int s = 0; s < num_signals(); ++s) {
     const int rises = count_edges(s, Polarity::kRise);

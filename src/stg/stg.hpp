@@ -98,32 +98,18 @@ class Stg {
   std::string edge_text(const Edge& e) const;
 
   // --- token game --------------------------------------------------------
+  // Reference semantics for simulation and tests; StateGraph::build()
+  // compiles its own copy of this game for its marking rows.
   Marking initial_marking() const;
-  bool enabled(const Marking& m, int t) const { return enabled(m.data(), t); }
+  bool enabled(const Marking& m, int t) const;
   std::vector<int> enabled_transitions(const Marking& m) const;
-  /// Allocation-free variant for reachability hot paths: `*out` is cleared
-  /// and refilled, reusing its capacity across calls.
-  void enabled_transitions(const Marking& m, std::vector<int>* out) const {
-    enabled_transitions(m.data(), out);
-  }
   /// Fire transition `t` (must be enabled); returns successor marking.
   Marking fire(const Marking& m, int t) const;
-  /// Fire into a caller-owned scratch marking; no allocation once `*next`
-  /// has the right size.
-  void fire_into(const Marking& m, int t, Marking* next) const {
-    fire_into(m.data(), t, next);
-  }
-
-  /// Raw-row overloads for markings living in a MarkingArena (contiguous
-  /// fixed-stride storage, stride = num_places()): same token game, no
-  /// Marking temporary on the read side.
-  bool enabled(const std::uint8_t* m, int t) const;
-  void enabled_transitions(const std::uint8_t* m, std::vector<int>* out) const;
-  void fire_into(const std::uint8_t* m, int t, Marking* next) const;
 
   // --- validation --------------------------------------------------------
   /// Structural sanity: at most kMaxSignals signals, every transition
-  /// connected, every signal used edge-consistently (has both + and -
+  /// connected and listing each place at most once per side (arcs carry no
+  /// weight), every signal used edge-consistently (has both + and -
   /// transitions unless it never switches), no isolated places. Throws
   /// SpecError on violation.
   void validate() const;

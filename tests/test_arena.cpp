@@ -1,9 +1,10 @@
 // MarkingArena: the contiguous fixed-stride marking store behind every
-// StateGraph. Covers the container itself (stride, append/row/copy), the
-// build integration (slot == state id, rows match a reference
-// re-exploration) and the filtered() contract: reduced graphs share the
-// root arena and address rows through root slots, adding zero marking
-// bytes per reduction round.
+// StateGraph. Covers the container itself (both row formats: stride,
+// append/row, encode/decode), the build integration (slot == state id,
+// rows match a reference replay, the row format picked from the input)
+// and the filtered() contract: reduced graphs share the root arena and
+// address rows through root slots, adding zero marking bytes per
+// reduction round.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,8 +18,10 @@
 namespace rtcad {
 namespace {
 
+using Format = MarkingArena::Format;
+
 TEST(MarkingArena, AppendRowCopyRoundTrip) {
-  MarkingArena arena(3);
+  MarkingArena arena(3, Format::kBytes);
   EXPECT_EQ(arena.stride(), 3);
   EXPECT_EQ(arena.size(), 0u);
   EXPECT_EQ(arena.bytes(), 0u);
@@ -38,38 +41,114 @@ TEST(MarkingArena, AppendRowCopyRoundTrip) {
   EXPECT_EQ(arena.copy(1), Marking({0, 0, 0}));
 }
 
-TEST(MarkingArena, RowsSurviveReallocation) {
-  MarkingArena arena(2);
-  std::vector<Marking> reference;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint8_t m[2] = {static_cast<std::uint8_t>(i & 0xff),
-                               static_cast<std::uint8_t>((i >> 8) & 0xff)};
-    reference.emplace_back(m, m + 2);
-    ASSERT_EQ(arena.append(m), static_cast<std::uint32_t>(i));
+/// The i-th 1-safe test marking: place p holds a token when bit p % 64 of
+/// a pattern that mixes `i` into all 64 bit lanes is set.
+Marking pattern_marking(int places, int i) {
+  Marking m(static_cast<std::size_t>(places));
+  std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
+  for (int p = 0; p < places; ++p) {
+    if (p % 64 == 0) x ^= x >> 29;
+    m[static_cast<std::size_t>(p)] =
+        static_cast<std::uint8_t>((x >> (p % 64)) & 1);
   }
-  for (int i = 0; i < 1000; ++i)
-    EXPECT_TRUE(arena.row_equals(static_cast<std::uint32_t>(i),
-                                 reference[static_cast<std::size_t>(i)]
-                                     .data()))
-        << "row " << i;
+  return m;
+}
+
+TEST(MarkingArena, BitRowsRoundTripAcrossWordBoundaries) {
+  for (const int places : {1, 63, 64, 65, 128, 129}) {
+    MarkingArena arena(places, Format::kBits);
+    const int words = (places + 63) / 64;
+    EXPECT_EQ(arena.stride(), 8 * words) << places << " places";
+    std::vector<Marking> reference;
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(arena.stride()));
+    for (int i = 0; i < 64; ++i) {
+      reference.push_back(pattern_marking(places, i));
+      arena.encode(reference.back(), row.data());
+      ASSERT_EQ(arena.append(row.data()), static_cast<std::uint32_t>(i));
+    }
+    // Single tokens at each end and on both sides of every word boundary:
+    // a decode with the wrong bit order or word order cannot pass these.
+    for (int p : {0, 62, 63, 64, 65, 127, 128, places - 1}) {
+      if (p >= places) continue;
+      Marking one(static_cast<std::size_t>(places), 0);
+      one[static_cast<std::size_t>(p)] = 1;
+      reference.push_back(one);
+      arena.encode(one, row.data());
+      arena.append(row.data());
+      std::uint64_t word;
+      std::memcpy(&word, row.data() + 8 * (p / 64), 8);
+      EXPECT_EQ(word, std::uint64_t{1} << (p % 64))
+          << places << " places, token on " << p;
+      // The explore loop's masks come from encode_set(): same layout.
+      std::vector<std::uint8_t> set(row.size(), 0xff);
+      arena.encode_set({p}, set.data());
+      EXPECT_EQ(set, row) << places << " places, token on " << p;
+    }
+    ASSERT_EQ(arena.size(), reference.size());
+    EXPECT_EQ(arena.bytes(), reference.size() * 8 * words);
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_EQ(arena.copy(static_cast<std::uint32_t>(i)), reference[i])
+          << places << " places, row " << i;
+  }
+}
+
+TEST(MarkingArena, RowsSurviveReallocation) {
+  // 70 places: a bit row spans two words.
+  for (const Format format : {Format::kBytes, Format::kBits}) {
+    MarkingArena arena(70, format);
+    std::vector<Marking> reference;
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(arena.stride()));
+    for (int i = 0; i < 1000; ++i) {
+      reference.push_back(pattern_marking(70, i));
+      arena.encode(reference.back(), row.data());
+      ASSERT_EQ(arena.append(row.data()), static_cast<std::uint32_t>(i));
+    }
+    EXPECT_EQ(arena.bytes(), 1000u * static_cast<std::size_t>(arena.stride()));
+    for (int i = 0; i < 1000; ++i) {
+      const auto slot = static_cast<std::uint32_t>(i);
+      const Marking& m = reference[static_cast<std::size_t>(i)];
+      arena.encode(m, row.data());
+      EXPECT_TRUE(arena.row_equals(slot, row.data())) << "row " << i;
+      EXPECT_EQ(arena.copy(slot), m) << "row " << i;
+    }
+  }
+}
+
+TEST(StateGraphArena, RowFormatFollowsTheInput) {
+  // pipeline12 is 1-safe: 48 places fit one 64-bit word, so every state
+  // costs 8 bytes. A silent fall back to byte rows would cost 48.
+  const Stg pipe = pipeline_stg(12);
+  ASSERT_EQ(pipe.num_places(), 48);
+  const StateGraph p = StateGraph::build(pipe);
+  EXPECT_EQ(p.arena_bytes(), static_cast<std::size_t>(p.num_states()) * 8);
+
+  // ring9 puts a second token on a place within a few states: the bit attempt
+  // is abandoned and the graph lives in byte rows, one byte per place.
+  const Stg ring = ring_stg(9);
+  const StateGraph r = StateGraph::build(ring);
+  EXPECT_EQ(r.arena_bytes(), static_cast<std::size_t>(r.num_states()) *
+                                 static_cast<std::size_t>(ring.num_places()));
+  int two_tokens = 0;
+  for (int s = 0; s < r.num_states(); ++s) {
+    for (std::uint8_t k : r.marking_copy(s)) two_tokens += k > 1;
+  }
+  EXPECT_GT(two_tokens, 0);
 }
 
 TEST(StateGraphArena, BuildRowsMatchTokenGameReplay) {
-  const Stg stg = pipeline_stg(4);
-  const StateGraph sg = StateGraph::build(stg);
-  ASSERT_EQ(sg.marking_stride(), stg.num_places());
-  EXPECT_EQ(sg.marking_copy(0), stg.initial_marking());
-  // Every edge's successor marking must be what firing the edge's
-  // transition on the source row yields — the arena rows ARE the markings.
-  Marking next;
-  sg.for_each_edge([&](int from, int transition, int to) {
-    stg.fire_into(sg.marking_data(from), transition, &next);
-    EXPECT_TRUE(std::equal(next.begin(), next.end(), sg.marking_data(to)))
-        << "edge " << from << " -[" << transition << "]-> " << to;
-  });
-  EXPECT_EQ(sg.arena_bytes(),
-            static_cast<std::size_t>(sg.num_states()) *
-                static_cast<std::size_t>(sg.marking_stride()));
+  for (const Stg& stg : {pipeline_stg(4), ring_stg(5)}) {
+    const StateGraph sg = StateGraph::build(stg);
+    EXPECT_EQ(sg.marking_copy(0), stg.initial_marking());
+    // Every edge's successor marking must be what firing the edge's
+    // transition on the source marking yields — the decoded arena rows ARE
+    // the markings.
+    sg.for_each_edge([&](int from, int transition, int to) {
+      EXPECT_EQ(stg.fire(sg.marking_copy(from), transition),
+                sg.marking_copy(to))
+          << stg.name() << " edge " << from << " -[" << transition << "]-> "
+          << to;
+    });
+  }
 }
 
 TEST(StateGraphArena, FilteredGraphSharesRootArenaAndRemapsSlots) {
@@ -84,13 +163,9 @@ TEST(StateGraphArena, FilteredGraphSharesRootArenaAndRemapsSlots) {
   ASSERT_LT(red.sg.num_states(), sg.num_states());
 
   // Shared arena: the reduction added no marking bytes, and each surviving
-  // state's row is its original state's row (same pointer, not just the
-  // same bytes).
+  // state decodes to its original state's marking.
   EXPECT_EQ(red.sg.arena_bytes(), sg.arena_bytes());
-  EXPECT_EQ(red.sg.marking_stride(), sg.marking_stride());
   for (int s = 0; s < red.sg.num_states(); ++s) {
-    EXPECT_EQ(red.sg.marking_data(s), sg.marking_data(red.sg.old_state_of(s)))
-        << "state " << s;
     EXPECT_EQ(red.sg.marking_copy(s), sg.marking_copy(red.sg.old_state_of(s)))
         << "state " << s;
   }
@@ -101,7 +176,7 @@ TEST(StateGraphArena, FilteredGraphSharesRootArenaAndRemapsSlots) {
       red.sg.filtered([](int, int) { return true; });
   EXPECT_EQ(twice.arena_bytes(), sg.arena_bytes());
   for (int s = 0; s < twice.num_states(); ++s)
-    EXPECT_EQ(twice.marking_data(s), sg.marking_data(twice.old_state_of(s)))
+    EXPECT_EQ(twice.marking_copy(s), sg.marking_copy(twice.old_state_of(s)))
         << "state " << s;
 }
 

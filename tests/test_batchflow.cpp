@@ -140,6 +140,28 @@ TEST(BatchFlow, FileFailingValidationBecomesSpecDiagnostic) {
   EXPECT_EQ(r.items[0].diagnostic.kind, "spec");
 }
 
+TEST(BatchFlow, RepeatedArcFileBecomesSpecDiagnostic) {
+  // `p0 a+ a+` lists p0 twice in a+'s pre set. Before validate() rejected
+  // it, firing a+ wrapped p0's count to 255 and the flow reported a
+  // misleading "contradictory initial values".
+  const std::string path = ::testing::TempDir() + "/batch_repeated_arc.g";
+  {
+    std::ofstream spec(path);
+    spec << ".model rep\n.outputs a\n.graph\np0 a+ a+\na+ a-\na- p0\n"
+            ".marking { p0 }\n.end\n";
+  }
+  const std::vector<BatchSpec> corpus = load_corpus_files({path});
+  ASSERT_EQ(corpus.size(), 1u);
+  ASSERT_TRUE(corpus[0].load_error.has_value());
+  EXPECT_EQ(corpus[0].load_error->kind, "spec");
+  EXPECT_EQ(corpus[0].load_error->message,
+            "transition 'a+' lists place 'p0' twice in its pre set; arcs "
+            "carry no weight");
+  const BatchResult r = run_batch(corpus);
+  EXPECT_EQ(r.failed_count, 1);
+  EXPECT_EQ(r.items[0].diagnostic.kind, "spec");
+}
+
 TEST(BatchFlow, MissingFileBecomesParseDiagnosticVerbatim) {
   const std::string missing = ::testing::TempDir() + "/does_not_exist.g";
   const std::vector<BatchSpec> corpus = load_corpus_files({missing});

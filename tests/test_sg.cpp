@@ -102,7 +102,8 @@ TEST(StateGraph, StateLimitEnforced) {
 
 TEST(StateGraph, TokenBoundOverflowReported) {
   // A cycle that pumps a token into a sink place on every lap overflows the
-  // 8-bit token bound after 255 laps; fire_into throws mid-exploration.
+  // 8-bit token bound after 255 laps. The second lap leaves bit rows, so
+  // the byte-row exploration is the one that throws, mid-exploration.
   Stg pump("pump");
   const int a = pump.add_signal("a", SignalKind::kOutput);
   const int rise = pump.add_transition(Edge{a, Polarity::kRise});

@@ -77,6 +77,54 @@ TEST(Stg, ValidateRejectsMoreThan64Signals) {
   EXPECT_THROW(wide_ring_stg(Stg::kMaxSignals + 1).validate(), SpecError);
 }
 
+TEST(Stg, ValidateRejectsRepeatedArcs) {
+  // The token game has no arc weights: `p0 a+ a+` would pass the enabled
+  // test with one token on p0 and then take two (a uint8 wrap to 255).
+  const auto handshake = [](Stg* stg, int* p0, int* rise, int* fall) {
+    const int a = stg->add_signal("a", SignalKind::kOutput);
+    *rise = stg->add_transition(Edge{a, Polarity::kRise});
+    *fall = stg->add_transition(Edge{a, Polarity::kFall});
+    *p0 = stg->add_place("p0", 1);
+    stg->add_arc_tt(*rise, *fall);
+  };
+  const auto message = [](const Stg& stg) {
+    try {
+      stg.validate();
+    } catch (const SpecError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+
+  Stg pre("pre");
+  int p0, rise, fall;
+  handshake(&pre, &p0, &rise, &fall);
+  pre.add_arc_pt(p0, rise);
+  pre.add_arc_pt(p0, rise);
+  pre.add_arc_tp(fall, p0);
+  EXPECT_EQ(message(pre),
+            "transition 'a+' lists place 'p0' twice in its pre set; arcs "
+            "carry no weight");
+
+  Stg post("post");
+  handshake(&post, &p0, &rise, &fall);
+  post.add_arc_pt(p0, rise);
+  post.add_arc_tp(fall, p0);
+  post.add_arc_tp(fall, p0);
+  EXPECT_EQ(message(post),
+            "transition 'a-' lists place 'p0' twice in its post set; arcs "
+            "carry no weight");
+
+  // A place on both sides of one transition is a self-loop, not a repeat.
+  Stg loop("loop");
+  handshake(&loop, &p0, &rise, &fall);
+  loop.add_arc_pt(p0, rise);
+  loop.add_arc_tp(rise, p0);
+  loop.add_arc_pt(p0, fall);
+  loop.add_arc_tp(fall, p0);
+  EXPECT_EQ(message(loop), "(no error)");
+}
+
 TEST(MarkingHash, ReadsExactlyTheMarkingAndEveryByteOfIt) {
   // Each marking is the whole of its own heap block, so reading past byte
   // n is a heap overflow under ASan. Every single-bit flip must change the
