@@ -111,9 +111,9 @@ BatchItemResult run_batch_item(const BatchSpec& item, const FlowContext& ctx);
 
 /// Fold one finished pipeline run into the batch-item vocabulary: flow
 /// statistics kept, netlists dropped, a StageError mapped to the item's
-/// diagnostic. The single mapping shared by the batch engine and
-/// `rtflow_cli run`, so their JSON can never drift. `wall_ms` is the
-/// caller's to fill.
+/// diagnostic. The single mapping shared by the batch engine and callers
+/// that run the pipeline themselves, so their JSON can never drift.
+/// `wall_ms` is the caller's to fill.
 BatchItemResult to_batch_item(const std::string& name,
                               const PipelineResult& run);
 

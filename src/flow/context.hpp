@@ -60,6 +60,18 @@ enum class StageStatus {
   kFailed,   ///< raised an error (see StageTrace::error_*)
 };
 
+/// The one word for a status, wherever it is rendered: metric names
+/// (`stage_total.<stage>.<word>`), the wire protocol's `stage` lines and
+/// `rtflow_cli run --trace`.
+inline const char* status_word(StageStatus s) {
+  switch (s) {
+    case StageStatus::kOk: return "ok";
+    case StageStatus::kSkipped: return "skipped";
+    case StageStatus::kFailed: return "failed";
+  }
+  return "?";
+}
+
 /// One typed statistic a stage reports (states, edges, conflicts,
 /// candidates, ...). Values are schedule-independent by the same contract
 /// that makes the JSON canonical.

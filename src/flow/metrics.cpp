@@ -7,22 +7,6 @@
 
 namespace rtcad {
 
-namespace {
-
-const char* status_word(StageStatus s) {
-  switch (s) {
-    case StageStatus::kOk:
-      return "ok";
-    case StageStatus::kSkipped:
-      return "skipped";
-    case StageStatus::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 const std::vector<long long>& Histogram::bucket_bounds_us() {
   // One fixed ladder for every histogram in the process: ~1-2.5-5 decade
   // steps from 100µs to 10s. Changing this ladder is a metrics-schema

@@ -30,15 +30,6 @@ void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
-const char* status_word(StageStatus s) {
-  switch (s) {
-    case StageStatus::kOk: return "ok";
-    case StageStatus::kSkipped: return "skipped";
-    case StageStatus::kFailed: return "failed";
-  }
-  return "?";
-}
-
 /// One-line stage report: summaries never contain newlines by the trace
 /// contract, but a defensive flattening keeps the protocol line-safe.
 std::string stage_line(const StageTrace& t) {

@@ -24,6 +24,11 @@
 // the same contract — which is also what makes `--cache` sound: a cache
 // hit returns the exact bytes a fresh run would produce.
 //
+// Every flag is declared once, in kFlags (spelling, value, help, parser),
+// and every command once, in kCommands (usage, flag list, handler): both
+// levels of --help, the unknown-flag check, dispatch and drive's
+// forwarding all read those two tables.
+//
 // Exit-code contract (documented in docs/CLI.md):
 //   0  success — every item ran clean
 //   1  runtime failure — an item failed (its JSON diagnostic says why), an
@@ -35,6 +40,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -42,10 +48,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,390 +68,21 @@ using namespace rtcad;
 
 namespace {
 
-const char* const kGlobalUsage =
-    "usage: %s <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  run           run ONE .g specification through the flow\n"
-    "  batch         run a corpus of specifications, emit canonical JSON\n"
-    "  shard         run shard i of N of a corpus, emit a shard file\n"
-    "  sweep         fan ONE spec out over fault/delay/environment variants\n"
-    "  merge         reassemble N shard files (batch or sweep) into JSON\n"
-    "  drive         launch N shard worker processes, retry crashes, merge\n"
-    "  serve         long-running daemon: submissions over a Unix socket\n"
-    "                and/or a TCP endpoint\n"
-    "  submit        send specifications to a serve daemon (one, or a\n"
-    "                whole corpus via the streamed batch verb)\n"
-    "  metrics       fetch a serve daemon's metrics snapshot as JSON\n"
-    "  cache         inspect or prune the content-addressed result store\n"
-    "  list          print the corpus item names\n"
-    "  list-stages   print the canonical flow stage names (--to targets)\n"
-    "  export-specs  write the built-in builder specs as .g files\n"
-    "\n"
-    "`%s <command> --help` describes each command's options.\n"
-    "\n"
-    "exit codes: 0 success; 1 runtime failure (failed item, bad input\n"
-    "file, unwritable output); 2 usage error.\n";
+struct Command;
 
-const char* const kCorpusFlags =
-    "corpus selection:\n"
-    "  --corpus builtin     every built-in specification (default when no\n"
-    "                       --spec is given)\n"
-    "  --spec FILE.g        add a .g STG file (repeatable; corpus order =\n"
-    "                       command-line order, after the built-ins).\n"
-    "                       Names like pipelineN / ringN with no such file\n"
-    "                       on disk build the generated scaling spec\n"
-    "  --pipeline-stages N  largest built-in pipeline (default 6)\n"
-    "\n"
-    "flow options (apply to --spec files; built-ins choose their own "
-    "mode):\n"
-    "  --mode si|rt         synthesis mode for file specs (default rt)\n"
-    "  --max-states N       per-spec reachability cap (default 2^20)\n"
-    "  --to STAGE           run through STAGE and stop (applies to every\n"
-    "                       item; default synth — the legacy stop point).\n"
-    "                       See `list-stages`; unknown names exit 2\n";
-
-const char* const kBudgetFlags =
-    "thread budget (the FlowContext levels; output is byte-identical at\n"
-    "any mixture, total concurrency is the product of the levels):\n"
-    "  --threads N          corpus-level workers (default: hardware\n"
-    "                       concurrency; specs run in parallel)\n"
-    "  --sg-threads N       excitation-sweep workers inside each state-\n"
-    "                       graph build of 32k+ edges; exploration stays\n"
-    "                       sequential (default 1; 0 = hardware\n"
-    "                       concurrency)\n"
-    "  --csc-threads N      candidate-level workers in the CSC search and\n"
-    "                       the ring-environment assumption rounds\n"
-    "                       (default 1; 0 = hardware concurrency)\n"
-    "  --deadline-ms N      cooperative deadline for the whole command;\n"
-    "                       items past it fail with kind \"cancelled\"\n";
-
-void print_command_usage(std::FILE* to, const char* argv0,
-                         const std::string& cmd) {
-  if (cmd == "run") {
-    std::fprintf(
-        to,
-        "usage: %s run --spec FILE.g [options]\n"
-        "\n"
-        "Run exactly one specification through the staged flow and emit\n"
-        "the canonical one-item batch JSON.\n"
-        "\n"
-        "  --spec FILE.g        the specification (required, exactly once).\n"
-        "                       A name like pipeline20 or ring12 with no\n"
-        "                       such file builds the generated scaling spec\n"
-        "  --mode si|rt         synthesis mode (default rt)\n"
-        "  --max-states N       reachability cap (default 2^20); raise it\n"
-        "                       for generated specs past pipeline19\n"
-        "  --to STAGE           run through STAGE and stop (default synth;\n"
-        "                       see `list-stages`). `--to verify-netlist`\n"
-        "                       is the full Figure 2 flow\n"
-        "  --netlist-out FILE   write the final (sized) netlist dump to\n"
-        "                       FILE; requires --to map or later\n"
-        "  --sg-threads N       excitation-sweep workers on graphs of 32k+\n"
-        "                       edges (default 1)\n"
-        "  --csc-threads N      candidate-level workers (default 1)\n"
-        "  --deadline-ms N      cooperative deadline\n"
-        "  --cache DIR          consult/populate the result store at DIR\n"
-        "                       (hits are byte-identical to a fresh run;\n"
-        "                       hit/miss reported on stderr)\n"
-        "  --trace              print the structured per-stage trace\n"
-        "                       (status, metrics, timing) to stderr\n"
-        "  --timings            include wall-clock times in the JSON\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "batch") {
-    std::fprintf(
-        to,
-        "usage: %s batch [options]\n"
-        "\n"
-        "Run the corpus on a worker pool and emit canonical JSON (the\n"
-        "golden-diffed format; `--timings` adds wall clocks for humans).\n"
-        "\n%s\n%s"
-        "  --cache DIR          consult/populate the result store at DIR;\n"
-        "                       output is byte-identical to an uncached\n"
-        "                       batch (stats line on stderr)\n"
-        "  --timings            include wall-clock times in the JSON\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --netlist-dir DIR    write each ok item's final netlist dump to\n"
-        "                       DIR/<item>.nl; requires --to map or later\n"
-        "  --help               this text\n",
-        argv0, kCorpusFlags, kBudgetFlags);
-  } else if (cmd == "shard") {
-    std::fprintf(
-        to,
-        "usage: %s shard --shard I/N [options]\n"
-        "\n"
-        "Run the items whose corpus index ≡ I (mod N) and emit a\n"
-        "versioned shard file (\"schema\": 1, records keyed by corpus\n"
-        "index). Every shard process must be given the SAME corpus flags\n"
-        "in the same order; `merge` reassembles N shard files into output\n"
-        "byte-identical to a single-process `batch`.\n"
-        "\n"
-        "  --shard I/N          this process's shard (required; 0 <= I < "
-        "N)\n"
-        "\n%s\n%s"
-        "  --out FILE           write shard JSON to FILE instead of stdout\n"
-        "  --resume             requires --out FILE. Reuse the records a\n"
-        "                       partial FILE already holds (recomputing\n"
-        "                       only missing indices) and checkpoint FILE\n"
-        "                       atomically after EVERY item, so a crashed\n"
-        "                       process leaves a valid partial for the\n"
-        "                       next --resume. A partial from a different\n"
-        "                       corpus, flags or shard id fails loudly\n"
-        "  --help               this text\n",
-        argv0, kCorpusFlags, kBudgetFlags);
-  } else if (cmd == "sweep") {
-    std::fprintf(
-        to,
-        "usage: %s sweep --spec NAME|FILE.g [options]\n"
-        "\n"
-        "Robustness battery: run ONE specification through the flow, then\n"
-        "fan it out over generated variants — every single-stuck-at fault\n"
-        "site of the synthesized netlist (driven by the spec's own\n"
-        "protocol), delay-window assignments sampled from a seeded grid\n"
-        "(stressing the back-annotated RT constraints via metric-timed\n"
-        "reduction), and environment phase offsets — and emit the\n"
-        "canonical SweepReport JSON (normative schema: docs/CLI.md).\n"
-        "Byte-identical at any --threads value; a --shard I/N run emits a\n"
-        "sweep shard file instead, and `merge` over a complete shard set\n"
-        "reproduces the single-process report byte-for-byte.\n"
-        "\n"
-        "  --spec NAME|FILE.g   the specification (required, exactly\n"
-        "                       once): a path, a generated name\n"
-        "                       (pipelineN/ringN), NAME.g, or\n"
-        "                       specs/NAME.g — first match wins\n"
-        "  --mode si|rt         synthesis mode (default rt; RT constraint\n"
-        "                       stress needs rt)\n"
-        "  --max-states N       reachability cap (default 2^20)\n"
-        "  --delay-variants N   delay-grid samples (default 96)\n"
-        "  --env-variants N     environment phase samples (default 64)\n"
-        "  --no-faults          skip the stuck-at variants\n"
-        "  --seed N             variant-grid sampler seed (default 1)\n"
-        "  --sim-ps N           protocol-drive horizon per variant, in ps\n"
-        "                       (default 60000)\n"
-        "  --shard I/N          emit the sweep shard owning variant\n"
-        "                       indices ≡ I (mod N) instead of the report\n"
-        "  --threads N          variant-level workers (default: hardware\n"
-        "                       concurrency)\n"
-        "  --sg-threads N       excitation-sweep workers for the one\n"
-        "                       state-graph build\n"
-        "  --csc-threads N      candidate-level workers in the flow run\n"
-        "  --deadline-ms N      cooperative deadline\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --help               this text\n"
-        "\n"
-        "Exit: 0 sweep ran (undetected faults / broken windows are\n"
-        "FINDINGS, reported in the JSON, not failures); 1 the flow or the\n"
-        "fault-free protocol run failed, or output could not be written;\n"
-        "2 usage error.\n",
-        argv0);
-  } else if (cmd == "drive") {
-    std::fprintf(
-        to,
-        "usage: %s drive --shards N --work-dir DIR [options]\n"
-        "\n"
-        "Multi-process batch: launch N `shard --resume` worker processes\n"
-        "(re-executing this binary), wait for them, retry each crashed\n"
-        "shard exactly once (the retry resumes the crashed worker's\n"
-        "checkpoint file, so completed items are not recomputed), then\n"
-        "merge in-process. The merged JSON is byte-identical to a\n"
-        "single-process `batch` over the same corpus.\n"
-        "\n"
-        "  --shards N           number of worker processes (required)\n"
-        "  --work-dir DIR       where shard_<i>.json checkpoint files go\n"
-        "                       (required; created if missing; pre-existing\n"
-        "                       valid partials are resumed, which is also\n"
-        "                       how YOU recover from a killed drive)\n"
-        "  --out FILE           write merged JSON to FILE instead of stdout\n"
-        "\n"
-        "Every other option (corpus selection, flow options, thread\n"
-        "budget, --deadline-ms) is forwarded verbatim to every worker.\n"
-        "Exit: 0 all items ok; 1 an item failed, a worker crashed twice,\n"
-        "or output could not be written; 2 usage error.\n",
-        argv0);
-  } else if (cmd == "serve") {
-    std::fprintf(
-        to,
-        "usage: %s serve --socket PATH|--tcp HOST:PORT [options]\n"
-        "\n"
-        "Flow-as-a-service: listen on a Unix-domain socket and/or a TCP\n"
-        "endpoint (the SAME line protocol over both), accept submissions\n"
-        "(see `submit`), schedule at most the corpus thread budget\n"
-        "concurrently, stream per-stage progress, honor per-request\n"
-        "deadlines, consult/populate the result store, and keep a metrics\n"
-        "registry (see `metrics`). Runs until a client's `shutdown` verb\n"
-        "or SIGINT/SIGTERM. Protocol spec: docs/CLI.md.\n"
-        "\n"
-        "  --socket PATH        Unix listening socket path. A stale socket\n"
-        "                       file is replaced; a live daemon on PATH is\n"
-        "                       an error\n"
-        "  --tcp HOST:PORT      TCP listening endpoint (port 0 picks an\n"
-        "                       ephemeral port, printed on stderr). May be\n"
-        "                       combined with --socket; at least one of\n"
-        "                       the two is required. A bind failure is a\n"
-        "                       clean error (exit 1), never an abort\n"
-        "  --cache DIR          serve hits from / store results into DIR\n"
-        "                       (default: no memoization)\n"
-        "  --cache-max-bytes N  LRU-prune the store back under N bytes\n"
-        "                       after each store (requires --cache; the\n"
-        "                       just-written entry is never evicted)\n"
-        "  --threads N          max concurrently running submissions\n"
-        "  --sg-threads N       excitation-sweep workers per submission\n"
-        "  --csc-threads N      candidate-level workers per submission\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "submit") {
-    std::fprintf(
-        to,
-        "usage: %s submit --socket PATH|--connect HOST:PORT\n"
-        "                 --spec FILE.g... [options]\n"
-        "\n"
-        "Send specifications to a running serve daemon and print the\n"
-        "canonical batch JSON. One --spec: byte-identical to `run` with\n"
-        "the same spec and flags. Several --spec flags (or --corpus\n"
-        "builtin): the whole set streams through the daemon's `batch`\n"
-        "verb on one connection, one record per item in corpus order —\n"
-        "byte-identical to `batch` over the same corpus.\n"
-        "\n"
-        "  --socket PATH        the daemon's Unix socket\n"
-        "  --connect HOST:PORT  the daemon's TCP endpoint (exactly one of\n"
-        "                       --socket/--connect)\n"
-        "  --spec FILE.g        specification file (repeatable)\n"
-        "  --corpus builtin     submit every built-in specification\n"
-        "  --pipeline-stages N  largest built-in pipeline (default 6)\n"
-        "  --name NAME          item name in the record (single submit\n"
-        "                       only; default: the --spec path)\n"
-        "  --mode si|rt         synthesis mode (default rt)\n"
-        "  --max-states N       reachability cap (default 2^20)\n"
-        "  --to STAGE           run through STAGE and stop\n"
-        "  --deadline-ms N      per-request deadline, enforced server-side\n"
-        "  --no-cache           ask the daemon to bypass its store\n"
-        "  --retries N          retry transport failures (connection\n"
-        "                       refused, mid-stream disconnect) up to N\n"
-        "                       times with exponential backoff (default 3;\n"
-        "                       a served error is an answer, not retried)\n"
-        "  --trace              print streamed stage progress to stderr\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "metrics") {
-    std::fprintf(
-        to,
-        "usage: %s metrics --socket PATH|--connect HOST:PORT [options]\n"
-        "\n"
-        "Fetch a serve daemon's metrics snapshot and print it as one line\n"
-        "of JSON: counters, gauges, and fixed-bucket latency histograms\n"
-        "(per flow stage and per request). The schema is deterministic —\n"
-        "only observed values vary between runs; the normative table is\n"
-        "in docs/CLI.md.\n"
-        "\n"
-        "  --socket PATH        the daemon's Unix socket\n"
-        "  --connect HOST:PORT  the daemon's TCP endpoint (exactly one of\n"
-        "                       --socket/--connect)\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "cache") {
-    std::fprintf(
-        to,
-        "usage: %s cache stats|clear|prune|key [options]\n"
-        "\n"
-        "Inspect or prune the content-addressed result store.\n"
-        "\n"
-        "  stats --cache DIR    entry count and total bytes\n"
-        "  clear --cache DIR    delete every entry (prints how many)\n"
-        "  prune --cache DIR --max-bytes N\n"
-        "                       evict least-recently-used entries until\n"
-        "                       the store fits in N bytes (recency = last\n"
-        "                       store or cache hit; deterministic order)\n"
-        "  key --spec FILE.g [--mode si|rt] [--max-states N] [--to STAGE]\n"
-        "                       print the cache key those flags address —\n"
-        "                       the normative key definition is in\n"
-        "                       docs/CLI.md\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "merge") {
-    std::fprintf(
-        to,
-        "usage: %s merge SHARD.json... [options]\n"
-        "\n"
-        "Validate and reassemble N shard files (one per shard id) into\n"
-        "the canonical batch JSON — byte-identical to running the whole\n"
-        "corpus in one `batch` process. Exit code follows the batch\n"
-        "contract: 1 if any merged item failed.\n"
-        "\n"
-        "Sweep shard files (\"kind\": \"sweep-shard\", from `sweep\n"
-        "--shard`) are detected from the first file and merged into the\n"
-        "canonical SweepReport instead — byte-identical to the\n"
-        "single-process `sweep`. Batch and sweep shards cannot be mixed.\n"
-        "Sweep merges exit 0 on success: undetected faults are findings,\n"
-        "not failures.\n"
-        "\n"
-        "  --out FILE           write JSON to FILE instead of stdout\n"
-        "  --help               this text\n",
-        argv0);
-  } else if (cmd == "list") {
-    std::fprintf(to,
-                 "usage: %s list [options]\n"
-                 "\n"
-                 "Print corpus item names, one per line, in corpus-index\n"
-                 "order (the order shard ids are computed from).\n"
-                 "\n%s"
-                 "  --help               this text\n",
-                 argv0, kCorpusFlags);
-  } else if (cmd == "list-stages") {
-    std::fprintf(to,
-                 "usage: %s list-stages\n"
-                 "\n"
-                 "Print every canonical flow stage in Figure 2 order —\n"
-                 "the names `--to STAGE` accepts — with the modes that\n"
-                 "run it and a one-line description. Stages sharing a\n"
-                 "rank (synth-rt, synth-si and the synth alias) are one\n"
-                 "stop point.\n",
-                 argv0);
-  } else if (cmd == "export-specs") {
-    std::fprintf(to,
-                 "usage: %s export-specs DIR\n"
-                 "\n"
-                 "Write every built-in builder spec to DIR as .g files (the\n"
-                 "reproducible half of the checked-in specs/ corpus;\n"
-                 "tools/gen_golden.sh re-runs this).\n",
-                 argv0);
-  } else {
-    std::fprintf(to, kGlobalUsage, argv0, argv0);
-  }
-}
-
-/// Strict parse for thread-count options: 0 is a legal value (auto), so
-/// atoi's garbage-to-0 would silently accept typos.
-bool parse_thread_count(const char* val, int* out) {
-  char* end = nullptr;
-  const long n = std::strtol(val, &end, 10);
-  if (end == val || *end != '\0' || n < 0) return false;
-  *out = static_cast<int>(n);
-  return true;
-}
-
-/// Parse "--shard I/N".
-bool parse_shard_spec(const char* val, std::size_t* shard, std::size_t* of) {
-  char* end = nullptr;
-  const long i = std::strtol(val, &end, 10);
-  if (end == val || *end != '/' || i < 0) return false;
-  const char* rest = end + 1;
-  const long n = std::strtol(rest, &end, 10);
-  if (end == rest || *end != '\0' || n < 1 || i >= n) return false;
-  *shard = static_cast<std::size_t>(i);
-  *of = static_cast<std::size_t>(n);
-  return true;
-}
-
-/// Shared option state for the corpus-running commands.
+/// One parsed command line. Past the first four fields, each field is
+/// written only by the setter of its flag's row in kFlags.
 struct CliOptions {
+  const char* prog = "";          // argv[0]
+  const Command* cmd = nullptr;   // the command being run
+  std::vector<std::string> positional;  // merge's shard files, ...
+  /// Every flag given, with its value (nullptr for a switch), in order:
+  /// what drive forwards to its workers.
+  std::vector<std::pair<const char*, const char*>> given;
   bool use_builtin = false;
   int pipeline_stages = 6;
   std::vector<std::string> spec_files;
-  FlowOptions file_opts;     // mode + max-states for --spec files
+  FlowOptions file_opts;     // mode + max-states + stop point for --spec files
   ThreadBudget budget;       // corpus/graph/candidate levels
   long deadline_ms = -1;
   bool timings = false;
@@ -451,7 +91,8 @@ struct CliOptions {
   std::string netlist_out;   // run: final netlist dump file
   std::string netlist_dir;   // batch: per-item netlist dump directory
   std::size_t shard = 0, shard_of = 0;  // shard_of == 0: not given
-  std::vector<std::string> positional;  // merge's shard files
+  int shards = 0;            // drive: worker processes
+  std::string work_dir;      // drive: checkpoint directory
   std::string cache_dir;     // run/batch/serve: result store
   bool resume = false;       // shard: reuse + checkpoint --out
   std::string socket_path;   // serve/submit/metrics
@@ -469,276 +110,353 @@ struct CliOptions {
   bool sweep_no_faults = false;    // sweep: skip stuck-at variants
 };
 
-/// One flag of the shared vocabulary; returns true if consumed. `i` is
-/// advanced past the flag's value. Sets *usage_error (message already on
-/// stderr) on a malformed value.
-bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
-                       bool* usage_error) {
-  const char* arg = argv[*i];
-  const auto need_value = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg);
-      *usage_error = true;
-      return nullptr;
-    }
-    return argv[++*i];
-  };
-
-  if (!std::strcmp(arg, "--corpus")) {
-    const char* kind = need_value();
-    if (!kind) return true;
-    if (std::strcmp(kind, "builtin") != 0) {
-      std::fprintf(stderr, "%s: unknown corpus '%s'\n", argv[0], kind);
-      *usage_error = true;
-      return true;
-    }
-    o->use_builtin = true;
-  } else if (!std::strcmp(arg, "--spec")) {
-    const char* file = need_value();
-    if (file) o->spec_files.push_back(file);
-  } else if (!std::strcmp(arg, "--pipeline-stages")) {
-    const char* val = need_value();
-    if (!val) return true;
-    o->pipeline_stages = std::atoi(val);
-    if (o->pipeline_stages < 1) {
-      std::fprintf(stderr, "%s: --pipeline-stages must be >= 1\n", argv[0]);
-      *usage_error = true;
-    }
-  } else if (!std::strcmp(arg, "--mode")) {
-    const char* mode = need_value();
-    if (!mode) return true;
-    if (!std::strcmp(mode, "si")) {
-      o->file_opts.mode = FlowMode::kSpeedIndependent;
-    } else if (!std::strcmp(mode, "rt")) {
-      o->file_opts.mode = FlowMode::kRelativeTiming;
-    } else {
-      std::fprintf(stderr, "%s: unknown mode '%s'\n", argv[0], mode);
-      *usage_error = true;
-    }
-  } else if (!std::strcmp(arg, "--max-states")) {
-    const char* val = need_value();
-    if (!val) return true;
-    const long n = std::atol(val);
-    if (n < 1) {
-      std::fprintf(stderr, "%s: --max-states must be >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->file_opts.sg.max_states = static_cast<std::size_t>(n);
-  } else if (!std::strcmp(arg, "--threads")) {
-    const char* val = need_value();
-    if (!val) return true;
-    const int n = std::atoi(val);
-    if (n < 1) {
-      std::fprintf(stderr, "%s: --threads must be >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.corpus = n;
-  } else if (!std::strcmp(arg, "--sg-threads")) {
-    const char* val = need_value();
-    if (!val) return true;
-    int n = 0;
-    if (!parse_thread_count(val, &n)) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.graph = n;
-  } else if (!std::strcmp(arg, "--csc-threads")) {
-    // One knob for both per-candidate engines: the CSC trigger-pair
-    // search and the ring-environment pending-age rounds.
-    const char* val = need_value();
-    if (!val) return true;
-    int n = 0;
-    if (!parse_thread_count(val, &n)) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.candidate = n;
-  } else if (!std::strcmp(arg, "--deadline-ms")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: --deadline-ms must be a number >= 0\n",
-                   argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->deadline_ms = n;
-  } else if (!std::strcmp(arg, "--shard")) {
-    const char* val = need_value();
-    if (!val) return true;
-    if (!parse_shard_spec(val, &o->shard, &o->shard_of)) {
-      std::fprintf(stderr,
-                   "%s: --shard wants I/N with 0 <= I < N, got '%s'\n",
-                   argv[0], val);
-      *usage_error = true;
-    }
-  } else if (!std::strcmp(arg, "--to")) {
-    const char* stage = need_value();
-    if (!stage) return true;
-    if (stage_rank(stage) < 0) {
-      std::fprintf(stderr,
-                   "%s: unknown stage '%s' for --to (see `%s list-stages`)\n",
-                   argv[0], stage, argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->file_opts.stop_after = stage;
-  } else if (!std::strcmp(arg, "--netlist-out")) {
-    const char* val = need_value();
-    if (val) o->netlist_out = val;
-  } else if (!std::strcmp(arg, "--netlist-dir")) {
-    const char* val = need_value();
-    if (val) o->netlist_dir = val;
-  } else if (!std::strcmp(arg, "--timings")) {
-    o->timings = true;
-  } else if (!std::strcmp(arg, "--trace")) {
-    o->trace = true;
-  } else if (!std::strcmp(arg, "--out")) {
-    const char* val = need_value();
-    if (val) o->out_path = val;
-  } else if (!std::strcmp(arg, "--cache")) {
-    const char* val = need_value();
-    if (val) o->cache_dir = val;
-  } else if (!std::strcmp(arg, "--resume")) {
-    o->resume = true;
-  } else if (!std::strcmp(arg, "--socket")) {
-    const char* val = need_value();
-    if (val) o->socket_path = val;
-  } else if (!std::strcmp(arg, "--tcp")) {
-    const char* val = need_value();
-    if (!val) return true;
-    try {
-      parse_tcp_endpoint(val);  // malformed HOST:PORT is a usage error
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      *usage_error = true;
-      return true;
-    }
-    o->tcp = val;
-  } else if (!std::strcmp(arg, "--connect")) {
-    const char* val = need_value();
-    if (!val) return true;
-    try {
-      parse_tcp_endpoint(val);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      *usage_error = true;
-      return true;
-    }
-    o->connect = val;
-  } else if (!std::strcmp(arg, "--retries")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: --retries must be a number >= 0\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->retries = static_cast<int>(n);
-  } else if (!std::strcmp(arg, "--max-bytes") ||
-             !std::strcmp(arg, "--cache-max-bytes")) {
-    const bool is_cap = !std::strcmp(arg, "--cache-max-bytes");
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long long n = std::strtoll(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    (is_cap ? o->cache_max_bytes : o->max_bytes) = n;
-  } else if (!std::strcmp(arg, "--name")) {
-    const char* val = need_value();
-    if (val) o->submit_name = val;
-  } else if (!std::strcmp(arg, "--no-cache")) {
-    o->no_cache = true;
-  } else if (!std::strcmp(arg, "--delay-variants") ||
-             !std::strcmp(arg, "--env-variants")) {
-    const bool is_delay = !std::strcmp(arg, "--delay-variants");
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    (is_delay ? o->sweep_delay_variants : o->sweep_env_variants) =
-        static_cast<int>(n);
-  } else if (!std::strcmp(arg, "--seed")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(val, &end, 10);
-    if (end == val || *end != '\0') {
-      std::fprintf(stderr, "%s: --seed must be a number >= 0\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->sweep_seed = n;
-  } else if (!std::strcmp(arg, "--sim-ps")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 1) {
-      std::fprintf(stderr, "%s: --sim-ps must be a number >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->sweep_sim_ps = n;
-  } else if (!std::strcmp(arg, "--no-faults")) {
-    o->sweep_no_faults = true;
-  } else {
-    return false;
-  }
-  return true;
+/// The one number parser behind every numeric flag: all of `val` must be
+/// a decimal integer in [lo, the field's maximum]. Returns an error
+/// message, empty on success.
+template <typename T>
+std::string set_number(const char* val, std::type_identity_t<T> lo,
+                       T* field) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(val, &end, 10);
+  const unsigned long long hi = std::numeric_limits<T>::max();
+  // strtoull negates a '-' sign into a huge value; no flag is negative.
+  if (end == val || *end != '\0' || errno == ERANGE ||
+      std::strchr(val, '-') != nullptr ||
+      n < static_cast<unsigned long long>(lo) || n > hi)
+    return strprintf("not a whole number in [%llu, %llu]",
+                     static_cast<unsigned long long>(lo), hi);
+  *field = static_cast<T>(n);
+  return {};
 }
 
-/// Parse a subcommand's flags against the subset it allows. Unknown flags
-/// and malformed values go to stderr with the command's usage; exit 2.
-/// `--help` prints usage to stdout and exits 0.
-CliOptions parse_or_exit(int argc, char** argv, const std::string& cmd,
-                         const std::vector<std::string>& allowed,
-                         bool accept_positional) {
+std::string set_endpoint(const char* val, std::string* field) {
+  try {
+    parse_tcp_endpoint(val);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  *field = val;
+  return {};
+}
+
+/// One row of the flag table: the only place a flag is spelled, described
+/// and parsed. `set` stores the value (nullptr for a switch) and returns
+/// an error message, empty when the value is well-formed.
+struct Flag {
+  const char* name;
+  const char* value;  ///< --help placeholder; nullptr: a switch
+  const char* help;
+  std::string (*set)(CliOptions& o, const char* value);
+};
+
+const Flag kFlags[] = {
+    {"--corpus", "builtin",
+     "every built-in specification (default when no --spec is given)",
+     [](CliOptions& o, const char* v) -> std::string {
+       if (std::strcmp(v, "builtin") != 0) return "unknown corpus";
+       o.use_builtin = true;
+       return {};
+     }},
+    {"--spec", "FILE.g",
+     "a .g STG file. Corpus commands take it repeatedly: corpus order is "
+     "command-line order, after the built-ins. A name like pipelineN or "
+     "ringN with no such file on disk builds the generated scaling spec",
+     [](CliOptions& o, const char* v) {
+       o.spec_files.push_back(v);
+       return std::string();
+     }},
+    {"--pipeline-stages", "N", "largest built-in pipeline (default 6)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 1, &o.pipeline_stages);
+     }},
+    {"--mode", "si|rt",
+     "synthesis mode for --spec files (default rt; built-ins choose their "
+     "own)",
+     [](CliOptions& o, const char* v) -> std::string {
+       if (!std::strcmp(v, "si"))
+         o.file_opts.mode = FlowMode::kSpeedIndependent;
+       else if (!std::strcmp(v, "rt"))
+         o.file_opts.mode = FlowMode::kRelativeTiming;
+       else
+         return "not si or rt";
+       return {};
+     }},
+    {"--max-states", "N",
+     "per-spec reachability cap (default 2^20); raise it for generated "
+     "specs past pipeline19",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 1, &o.file_opts.sg.max_states);
+     }},
+    {"--to", "STAGE",
+     "run through STAGE and stop (default synth; see `list-stages`). "
+     "`--to verify-netlist` is the full Figure 2 flow",
+     [](CliOptions& o, const char* v) -> std::string {
+       if (stage_rank(v) < 0) return "unknown stage (see `list-stages`)";
+       o.file_opts.stop_after = v;
+       return {};
+     }},
+    {"--netlist-out", "FILE",
+     "write the final (sized) netlist dump to FILE; requires --to map or "
+     "later",
+     [](CliOptions& o, const char* v) {
+       o.netlist_out = v;
+       return std::string();
+     }},
+    {"--netlist-dir", "DIR",
+     "write each ok item's final netlist dump to DIR/<item>.nl; requires "
+     "--to map or later",
+     [](CliOptions& o, const char* v) {
+       o.netlist_dir = v;
+       return std::string();
+     }},
+    {"--threads", "N",
+     "corpus-level workers: batch items, sweep variants, or submissions a "
+     "daemon runs at once (default: hardware concurrency)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 1, &o.budget.corpus);
+     }},
+    {"--sg-threads", "N",
+     "excitation-sweep workers inside each state-graph build of 32k+ "
+     "edges; exploration stays sequential (default 1; 0 = hardware "
+     "concurrency)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.budget.graph);
+     }},
+    {"--csc-threads", "N",
+     "candidate-level workers in the CSC search and the ring-environment "
+     "assumption rounds (default 1; 0 = hardware concurrency)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.budget.candidate);
+     }},
+    {"--deadline-ms", "N",
+     "cooperative deadline for the whole command (submit: per request, "
+     "enforced by the daemon); items past it fail with kind \"cancelled\"",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.deadline_ms);
+     }},
+    {"--shard", "I/N",
+     "run only the indices ≡ I (mod N), 0 <= I < N (corpus items for "
+     "shard, variants for sweep) and emit a shard file",
+     [](CliOptions& o, const char* v) -> std::string {
+       const char* slash = std::strchr(v, '/');
+       std::size_t i = 0, n = 0;
+       if (!slash ||
+           !set_number(std::string(v, slash).c_str(), 0, &i).empty() ||
+           !set_number(slash + 1, 1, &n).empty() || i >= n)
+         return "not I/N with 0 <= I < N";
+       o.shard = i;
+       o.shard_of = n;
+       return {};
+     }},
+    {"--shards", "N", "number of worker processes",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 1, &o.shards);
+     }},
+    {"--work-dir", "DIR",
+     "where the shard_<i>.json checkpoint files go (created if missing)",
+     [](CliOptions& o, const char* v) {
+       o.work_dir = v;
+       return std::string();
+     }},
+    {"--resume", nullptr,
+     "requires --out FILE. Reuse the records a partial FILE already holds "
+     "(recomputing only missing indices) and checkpoint FILE atomically "
+     "after every item, so a crashed process leaves a valid partial for "
+     "the next --resume",
+     [](CliOptions& o, const char*) {
+       o.resume = true;
+       return std::string();
+     }},
+    {"--cache", "DIR",
+     "the content-addressed result store at DIR. Hits are byte-identical "
+     "to a fresh run; run and batch report hits, misses and stores on "
+     "stderr",
+     [](CliOptions& o, const char* v) {
+       o.cache_dir = v;
+       return std::string();
+     }},
+    {"--cache-max-bytes", "N",
+     "LRU-prune the store back under N bytes after each store (requires "
+     "--cache; the just-written entry is never evicted)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.cache_max_bytes);
+     }},
+    {"--max-bytes", "N", "the store size `cache prune` evicts down to",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.max_bytes);
+     }},
+    {"--socket", "PATH", "the daemon's Unix-domain socket",
+     [](CliOptions& o, const char* v) {
+       o.socket_path = v;
+       return std::string();
+     }},
+    {"--tcp", "HOST:PORT",
+     "TCP listening endpoint (port 0 picks an ephemeral port, printed on "
+     "stderr)",
+     [](CliOptions& o, const char* v) { return set_endpoint(v, &o.tcp); }},
+    {"--connect", "HOST:PORT", "the daemon's TCP endpoint",
+     [](CliOptions& o, const char* v) {
+       return set_endpoint(v, &o.connect);
+     }},
+    {"--name", "NAME",
+     "item name in the record (single submit only; default: the --spec "
+     "path)",
+     [](CliOptions& o, const char* v) {
+       o.submit_name = v;
+       return std::string();
+     }},
+    {"--no-cache", nullptr, "ask the daemon to bypass its store",
+     [](CliOptions& o, const char*) {
+       o.no_cache = true;
+       return std::string();
+     }},
+    {"--retries", "N",
+     "retry transport failures (connection refused, mid-stream disconnect) "
+     "up to N times with exponential backoff (default 3; a served error is "
+     "an answer, not retried)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.retries);
+     }},
+    {"--delay-variants", "N", "delay-grid samples (default 96)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.sweep_delay_variants);
+     }},
+    {"--env-variants", "N", "environment phase samples (default 64)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.sweep_env_variants);
+     }},
+    {"--no-faults", nullptr, "skip the stuck-at variants",
+     [](CliOptions& o, const char*) {
+       o.sweep_no_faults = true;
+       return std::string();
+     }},
+    {"--seed", "N", "variant-grid sampler seed (default 1)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 0, &o.sweep_seed);
+     }},
+    {"--sim-ps", "N",
+     "protocol-drive horizon per variant, in ps (default 60000)",
+     [](CliOptions& o, const char* v) {
+       return set_number(v, 1, &o.sweep_sim_ps);
+     }},
+    {"--trace", nullptr,
+     "print per-stage progress to stderr (run: each stage's status, "
+     "metrics and timing; submit: the streamed progress lines)",
+     [](CliOptions& o, const char*) {
+       o.trace = true;
+       return std::string();
+     }},
+    {"--timings", nullptr, "include wall-clock times in the JSON",
+     [](CliOptions& o, const char*) {
+       o.timings = true;
+       return std::string();
+     }},
+    {"--out", "FILE", "write the output to FILE instead of stdout",
+     [](CliOptions& o, const char* v) {
+       o.out_path = v;
+       return std::string();
+     }},
+    // Every command takes --help (and -h); the parser answers it before
+    // looking a flag up, so it has no setter.
+    {"--help", nullptr, "this text", nullptr},
+};
+
+const Flag* find_flag(std::string_view name) {
+  for (const Flag& f : kFlags)
+    if (name == f.name) return &f;
+  return nullptr;
+}
+
+/// One row of the command table: its --help text, the flags it takes and
+/// how many positional arguments, and the handler `main` dispatches to.
+struct Command {
+  const char* name;
+  const char* summary;   ///< its line in the global --help
+  const char* synopsis;  ///< the usage line, after the program name
+  const char* about;
+  std::vector<std::string_view> flags;  ///< in --help order; --help implied
+  std::size_t min_args, max_args;       ///< positional arguments
+  int (*run)(const CliOptions& o);
+};
+
+/// One --help row: the flag and its value padded to column 23, then the
+/// help text word-wrapped at 78 columns.
+void print_flag(std::FILE* to, const Flag& f) {
+  const std::string head =
+      std::string(f.name) + (f.value ? std::string(" ") + f.value : "");
+  std::string line = strprintf("  %-20s", head.c_str());
+  for (const std::string& word : split(f.help)) {
+    if (line.size() + 1 + word.size() > 78) {
+      std::fprintf(to, "%s\n", line.c_str());
+      line.assign(22, ' ');
+    }
+    line += ' ' + word;
+  }
+  std::fprintf(to, "%s\n", line.c_str());
+}
+
+void print_usage(std::FILE* to, const char* prog, const Command& c) {
+  std::fprintf(to, "usage: %s %s\n\n%s\n\noptions:\n", prog, c.synopsis,
+               c.about);
+  for (std::string_view name : c.flags) {
+    const Flag* f = find_flag(name);
+    RTCAD_ASSERT(f != nullptr);
+    print_flag(to, *f);
+  }
+  print_flag(to, *find_flag("--help"));
+}
+
+/// A usage error in the running command: the message, then the command's
+/// usage, on stderr. Returns exit code 2.
+int usage_error(const CliOptions& o, const std::string& message) {
+  std::fprintf(stderr, "%s %s: %s\n", o.prog, o.cmd->name, message.c_str());
+  print_usage(stderr, o.prog, *o.cmd);
+  return 2;
+}
+
+/// Parse argv[2..] against `cmd`'s row. --help prints the command's usage
+/// and exits 0; a flag the command does not take, a missing or malformed
+/// value, or positional arguments outside its rule exit 2.
+CliOptions parse_or_exit(int argc, char** argv, const Command& cmd) {
   CliOptions o;
+  o.prog = argv[0];
+  o.cmd = &cmd;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (!std::strcmp(arg, "--help") || !std::strcmp(arg, "-h")) {
-      print_command_usage(stdout, argv[0], cmd);
+      print_usage(stdout, o.prog, cmd);
       std::exit(0);
     }
     if (arg[0] != '-') {
-      if (accept_positional) {
-        o.positional.push_back(arg);
-        continue;
+      if (o.positional.size() == cmd.max_args)
+        std::exit(usage_error(o, strprintf("unexpected argument '%s'", arg)));
+      o.positional.push_back(arg);
+      continue;
+    }
+    const Flag* flag = find_flag(arg);
+    if (!flag || std::find(cmd.flags.begin(), cmd.flags.end(),
+                           std::string_view(arg)) == cmd.flags.end())
+      std::exit(usage_error(o, strprintf("unknown option '%s'", arg)));
+    const char* value = nullptr;
+    if (flag->value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s %s: %s needs a value\n", o.prog, cmd.name,
+                     arg);
+        std::exit(2);
       }
-      std::fprintf(stderr, "%s %s: unexpected argument '%s'\n", argv[0],
-                   cmd.c_str(), arg);
-      print_command_usage(stderr, argv[0], cmd);
+      value = argv[++i];
+    }
+    const std::string error = flag->set(o, value);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s %s: %s '%s': %s\n", o.prog, cmd.name, arg,
+                   value, error.c_str());
       std::exit(2);
     }
-    const bool known = std::find(allowed.begin(), allowed.end(),
-                                 std::string(arg)) != allowed.end();
-    bool usage_error = false;
-    if (!known || !parse_common_flag(argc, argv, &i, &o, &usage_error)) {
-      std::fprintf(stderr, "%s %s: unknown option '%s'\n", argv[0],
-                   cmd.c_str(), arg);
-      print_command_usage(stderr, argv[0], cmd);
-      std::exit(2);
-    }
-    if (usage_error) std::exit(2);
+    o.given.emplace_back(flag->name, value);
   }
+  if (o.positional.size() < cmd.min_args)
+    std::exit(usage_error(o, "missing argument"));
   return o;
 }
 
@@ -819,153 +537,64 @@ struct CliContext {
   }
 };
 
-const char* status_text(StageStatus s) {
-  switch (s) {
-    case StageStatus::kOk: return "ok";
-    case StageStatus::kSkipped: return "skipped";
-    case StageStatus::kFailed: return "FAILED";
+/// `run --trace`: one stderr line per stage as it finishes.
+void print_stage(const StageTrace& t) {
+  std::string metrics;
+  for (const StageMetric& m : t.metrics) {
+    metrics += metrics.empty() ? " [" : ", ";
+    metrics += m.key + "=" + std::to_string(m.value);
   }
-  return "?";
-}
-
-void print_trace(const PipelineResult& run) {
-  for (const StageTrace& t : run.trace) {
-    std::string metrics;
-    for (const StageMetric& m : t.metrics) {
-      metrics += metrics.empty() ? " [" : ", ";
-      metrics += m.key + "=" + std::to_string(m.value);
-    }
-    if (!metrics.empty()) metrics += "]";
-    std::fprintf(stderr, "stage %-20s %-7s %s%s (%.2f ms)\n",
-                 t.stage.c_str(), status_text(t.status),
-                 t.status == StageStatus::kFailed ? t.error_message.c_str()
-                                                  : t.summary.c_str(),
-                 metrics.c_str(), t.wall_ms);
-  }
+  if (!metrics.empty()) metrics += "]";
+  std::fprintf(stderr, "stage %-20s %-7s %s%s (%.2f ms)\n", t.stage.c_str(),
+               status_word(t.status),
+               t.status == StageStatus::kFailed ? t.error_message.c_str()
+                                                : t.summary.c_str(),
+               metrics.c_str(), t.wall_ms);
 }
 
 // --- subcommands ------------------------------------------------------------
 
-int cmd_run(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "run",
-      {"--spec", "--mode", "--max-states", "--to", "--netlist-out",
-       "--sg-threads", "--csc-threads", "--deadline-ms", "--cache",
-       "--trace", "--timings", "--out"},
-      /*accept_positional=*/false);
-  if (o.spec_files.size() != 1) {
-    std::fprintf(stderr, "%s run: exactly one --spec FILE.g is required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "run");
-    return 2;
-  }
-  if (!o.netlist_out.empty() && !stop_reaches_map(o.file_opts.stop_after)) {
-    std::fprintf(stderr,
-                 "%s run: --netlist-out requires --to map or later\n",
-                 argv[0]);
+/// `batch`, and `run` as its one-item case: the corpus through the batch
+/// engine (through the result store with --cache), then the JSON and the
+/// netlist dumps.
+int run_corpus(const CliOptions& o, const std::vector<BatchSpec>& corpus) {
+  if ((!o.netlist_out.empty() || !o.netlist_dir.empty()) &&
+      !stop_reaches_map(o.file_opts.stop_after)) {
+    std::fprintf(stderr, "%s %s: %s requires --to map or later\n", o.prog,
+                 o.cmd->name,
+                 o.netlist_out.empty() ? "--netlist-dir" : "--netlist-out");
     return 2;
   }
   CliContext cli(o);
-
-  // Load through the same path batch uses so file problems surface as the
-  // same structured diagnostics.
-  std::vector<BatchSpec> corpus = load_corpus_files(o.spec_files, o.file_opts);
-  BatchResult result;
-  result.items.resize(1);
-  BatchItemResult& item = result.items[0];
-  item.name = corpus[0].name;
-  if (corpus[0].load_error) {
-    item.diagnostic = *corpus[0].load_error;
-  } else {
-    // Cache consult/populate (when --cache): a hit IS the canonical
-    // result — same bytes the pipeline below would produce.
-    std::optional<ResultCache> cache;
-    std::string key;
-    bool served_from_cache = false;
-    try {
-      if (!o.cache_dir.empty()) {
-        cache.emplace(o.cache_dir);
-        key = cache_key(corpus[0]);
-        if (std::optional<BatchItemResult> hit = cache->lookup(key)) {
-          std::fprintf(stderr, "cache: hit %s\n", key.c_str());
-          item = std::move(*hit);
-          served_from_cache = true;
-        }
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s run: %s\n", argv[0], e.what());
-      return 1;
-    }
-    if (!served_from_cache) {
-      const auto start = std::chrono::steady_clock::now();
-      const PipelineResult run = FlowPipeline::standard(o.file_opts.mode)
-                                     .run(corpus[0].spec, corpus[0].opts,
-                                          cli.ctx);
-      if (o.trace) print_trace(run);
-      item = to_batch_item(corpus[0].name, run);
-      item.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-      if (cache) {
-        std::fprintf(stderr, "cache: miss %s\n", key.c_str());
-        // Cancellation is schedule noise, never a memoizable answer.
-        if (item.ok || item.diagnostic.kind != "cancelled") {
-          try {
-            cache->store(key, item);
-          } catch (const Error& e) {
-            std::fprintf(stderr, "%s run: %s\n", argv[0], e.what());
-            return 1;
-          }
-        }
-      }
-    }
-  }
-  (item.ok ? result.ok_count : result.failed_count) += 1;
-  result.wall_ms = item.wall_ms;
-  if (!write_output(argv[0], o.out_path, to_json(result, o.timings)))
-    return 1;
-  if (!o.netlist_out.empty() && item.ok &&
-      !write_output(argv[0], o.netlist_out, item.netlist_text))
-    return 1;
-  return result.failed_count == 0 ? 0 : 1;
-}
-
-int cmd_batch(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "batch",
-      {"--corpus", "--spec", "--pipeline-stages", "--mode", "--max-states",
-       "--to", "--netlist-dir", "--threads", "--sg-threads", "--csc-threads",
-       "--deadline-ms", "--cache", "--timings", "--out"},
-      /*accept_positional=*/false);
-  if (!o.netlist_dir.empty() && !stop_reaches_map(o.file_opts.stop_after)) {
-    std::fprintf(stderr,
-                 "%s batch: --netlist-dir requires --to map or later\n",
-                 argv[0]);
-    return 2;
-  }
-  CliContext cli(o);
+  if (o.trace) cli.ctx.on_stage = print_stage;
+  const auto start = std::chrono::steady_clock::now();
   BatchResult result;
   if (o.cache_dir.empty()) {
-    result = run_batch(build_corpus(o), cli.ctx);
+    result = run_batch(corpus, cli.ctx);
   } else {
     try {
       const ResultCache cache(o.cache_dir);
       CacheStats cs;
-      result = run_batch_cached(build_corpus(o), cli.ctx, cache, &cs);
+      result = run_batch_cached(corpus, cli.ctx, cache, &cs);
       std::fprintf(stderr, "cache: %lld hits, %lld misses, %lld stored (%s)\n",
                    cs.hits, cs.misses, cs.stores, cache.dir().c_str());
     } catch (const Error& e) {
-      std::fprintf(stderr, "%s batch: %s\n", argv[0], e.what());
+      std::fprintf(stderr, "%s %s: %s\n", o.prog, o.cmd->name, e.what());
       return 1;
     }
   }
-  if (!write_output(argv[0], o.out_path, to_json(result, o.timings)))
+  result.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  if (!write_output(o.prog, o.out_path, to_json(result, o.timings))) return 1;
+  if (!o.netlist_out.empty() && result.items[0].ok &&
+      !write_output(o.prog, o.netlist_out, result.items[0].netlist_text))
     return 1;
   if (!o.netlist_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(o.netlist_dir, ec);
     if (ec) {
-      std::fprintf(stderr, "%s batch: cannot create '%s': %s\n", argv[0],
+      std::fprintf(stderr, "%s batch: cannot create '%s': %s\n", o.prog,
                    o.netlist_dir.c_str(), ec.message().c_str());
       return 1;
     }
@@ -973,11 +602,19 @@ int cmd_batch(int argc, char** argv) {
       if (item.netlist_text.empty()) continue;  // failed item: no netlist
       const std::string path =
           o.netlist_dir + "/" + netlist_file_name(item.name);
-      if (!write_output(argv[0], path, item.netlist_text)) return 1;
+      if (!write_output(o.prog, path, item.netlist_text)) return 1;
     }
   }
   return result.failed_count == 0 ? 0 : 1;
 }
+
+int cmd_run(const CliOptions& o) {
+  if (o.spec_files.size() != 1)
+    return usage_error(o, "exactly one --spec FILE.g is required");
+  return run_corpus(o, load_corpus_files(o.spec_files, o.file_opts));
+}
+
+int cmd_batch(const CliOptions& o) { return run_corpus(o, build_corpus(o)); }
 
 /// A merged shard set as the single-process artifact it stands for, with
 /// that command's exit code: a batch exits 1 if any item failed; sweep
@@ -1061,20 +698,10 @@ std::function<void(std::size_t)> crash_injection_hook(std::size_t shard) {
   };
 }
 
-int cmd_shard(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "shard",
-      {"--shard", "--corpus", "--spec", "--pipeline-stages", "--mode",
-       "--max-states", "--to", "--threads", "--sg-threads", "--csc-threads",
-       "--deadline-ms", "--resume", "--out"},
-      /*accept_positional=*/false);
-  if (o.shard_of == 0) {
-    std::fprintf(stderr, "%s shard: --shard I/N is required\n", argv[0]);
-    print_command_usage(stderr, argv[0], "shard");
-    return 2;
-  }
+int cmd_shard(const CliOptions& o) {
+  if (o.shard_of == 0) return usage_error(o, "--shard I/N is required");
   if (o.resume && o.out_path.empty()) {
-    std::fprintf(stderr, "%s shard: --resume requires --out FILE\n", argv[0]);
+    std::fprintf(stderr, "%s shard: --resume requires --out FILE\n", o.prog);
     return 2;
   }
   CliContext cli(o);
@@ -1089,13 +716,13 @@ int cmd_shard(int argc, char** argv) {
                     partial ? &*partial : nullptr, o.resume ? o.out_path : "",
                     o.resume ? crash_injection_hook(o.shard) : nullptr);
   } catch (const Error& e) {
-    std::fprintf(stderr, "%s shard: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s shard: %s\n", o.prog, e.what());
     return 1;
   }
   int failed = 0;
   for (const ShardItem<BatchItemResult>& s : run.items)
     failed += s.record.ok ? 0 : 1;
-  if (!write_output(argv[0], o.out_path, to_shard_json(run))) return 1;
+  if (!write_output(o.prog, o.out_path, to_shard_json(run))) return 1;
   return failed == 0 ? 0 : 1;
 }
 
@@ -1130,26 +757,14 @@ bool resolve_sweep_spec(const std::string& arg, Stg* spec,
   return false;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "sweep",
-      {"--spec", "--mode", "--max-states", "--delay-variants",
-       "--env-variants", "--no-faults", "--seed", "--sim-ps", "--shard",
-       "--threads", "--sg-threads", "--csc-threads", "--deadline-ms",
-       "--out"},
-      /*accept_positional=*/false);
-  if (o.spec_files.size() != 1) {
-    std::fprintf(stderr,
-                 "%s sweep: exactly one --spec NAME|FILE.g is required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "sweep");
-    return 2;
-  }
+int cmd_sweep(const CliOptions& o) {
+  if (o.spec_files.size() != 1)
+    return usage_error(o, "exactly one --spec NAME|FILE.g is required");
   const std::string& name = o.spec_files[0];
   Stg spec;
   std::string resolve_error;
   if (!resolve_sweep_spec(name, &spec, &resolve_error)) {
-    std::fprintf(stderr, "%s sweep: %s\n", argv[0], resolve_error.c_str());
+    std::fprintf(stderr, "%s sweep: %s\n", o.prog, resolve_error.c_str());
     return 1;
   }
 
@@ -1171,80 +786,34 @@ int cmd_sweep(int argc, char** argv) {
     else
       text = to_sweep_json(run_sweep(name, spec, so, cli.ctx));
   } catch (const Error& e) {
-    std::fprintf(stderr, "%s sweep: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s sweep: %s\n", o.prog, e.what());
     return 1;
   }
-  return write_output(argv[0], o.out_path, text) ? 0 : 1;
+  return write_output(o.prog, o.out_path, text) ? 0 : 1;
 }
 
-/// The process driver: the PR-5 "driver that launches the worker
-/// processes itself" leftover. Workers are this same binary re-executed
-/// as `shard --resume`, so a crashed worker's checkpoint file makes its
-/// one retry cheap: only the items the crash lost are recomputed.
-int cmd_drive(int argc, char** argv) {
-  int shards = 0;
-  std::string work_dir, out_path;
-  std::vector<std::string> passthrough;  // forwarded verbatim to workers
-  // Every forwardable flag takes a value, which keeps this loop honest.
-  static const char* const kForwarded[] = {
-      "--corpus", "--spec",       "--pipeline-stages", "--mode",
-      "--max-states", "--to",     "--threads",         "--sg-threads",
-      "--csc-threads", "--deadline-ms"};
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_command_usage(stdout, argv[0], "drive");
-      return 0;
-    }
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--shards") {
-      const char* val = need_value();
-      if (!val) return 2;
-      shards = std::atoi(val);
-      if (shards < 1) {
-        std::fprintf(stderr, "%s drive: --shards must be >= 1\n", argv[0]);
-        return 2;
-      }
-    } else if (arg == "--work-dir") {
-      const char* val = need_value();
-      if (!val) return 2;
-      work_dir = val;
-    } else if (arg == "--out") {
-      const char* val = need_value();
-      if (!val) return 2;
-      out_path = val;
-    } else if (std::find_if(std::begin(kForwarded), std::end(kForwarded),
-                            [&](const char* f) { return arg == f; }) !=
-               std::end(kForwarded)) {
-      const char* val = need_value();
-      if (!val) return 2;
-      passthrough.push_back(arg);
-      passthrough.push_back(val);
-    } else {
-      std::fprintf(stderr, "%s drive: unknown option '%s'\n", argv[0],
-                   arg.c_str());
-      print_command_usage(stderr, argv[0], "drive");
-      return 2;
-    }
-  }
-  if (shards < 1 || work_dir.empty()) {
-    std::fprintf(stderr, "%s drive: --shards N and --work-dir DIR are required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "drive");
-    return 2;
-  }
+/// The process driver. Workers are this same binary re-executed as
+/// `shard --resume`, so a crashed worker's checkpoint file makes its one
+/// retry cheap: only the items the crash lost are recomputed. Every flag
+/// was checked by the parser before any fork; all but drive's own three
+/// are forwarded to every worker verbatim.
+int cmd_drive(const CliOptions& o) {
+  const int shards = o.shards;
+  if (shards < 1 || o.work_dir.empty())
+    return usage_error(o, "--shards N and --work-dir DIR are required");
   std::error_code ec;
-  std::filesystem::create_directories(work_dir, ec);
+  std::filesystem::create_directories(o.work_dir, ec);
   if (ec) {
-    std::fprintf(stderr, "%s drive: cannot create '%s': %s\n", argv[0],
-                 work_dir.c_str(), ec.message().c_str());
+    std::fprintf(stderr, "%s drive: cannot create '%s': %s\n", o.prog,
+                 o.work_dir.c_str(), ec.message().c_str());
     return 1;
+  }
+  std::vector<std::string> passthrough;
+  for (const auto& [flag, value] : o.given) {
+    const std::string_view f = flag;
+    if (f == "--shards" || f == "--work-dir" || f == "--out") continue;
+    passthrough.push_back(flag);
+    if (value) passthrough.push_back(value);
   }
 
   struct Worker {
@@ -1255,11 +824,11 @@ int cmd_drive(int argc, char** argv) {
   std::vector<Worker> workers(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i)
     workers[static_cast<std::size_t>(i)].out =
-        work_dir + "/shard_" + std::to_string(i) + ".json";
+        o.work_dir + "/shard_" + std::to_string(i) + ".json";
 
   const auto launch = [&](int i) -> pid_t {
     Worker& w = workers[static_cast<std::size_t>(i)];
-    std::vector<std::string> args = {argv[0], "shard", "--shard",
+    std::vector<std::string> args = {o.prog, "shard", "--shard",
                                      std::to_string(i) + "/" +
                                          std::to_string(shards)};
     args.insert(args.end(), passthrough.begin(), passthrough.end());
@@ -1284,7 +853,7 @@ int cmd_drive(int argc, char** argv) {
   for (int i = 0; i < shards; ++i) {
     workers[static_cast<std::size_t>(i)].pid = launch(i);
     if (workers[static_cast<std::size_t>(i)].pid < 0) {
-      std::fprintf(stderr, "%s drive: fork(): %s\n", argv[0],
+      std::fprintf(stderr, "%s drive: fork(): %s\n", o.prog,
                    std::strerror(errno));
       return 1;
     }
@@ -1301,7 +870,7 @@ int cmd_drive(int argc, char** argv) {
     const pid_t pid = ::waitpid(-1, &status, 0);
     if (pid < 0) {
       if (errno == EINTR) continue;
-      std::fprintf(stderr, "%s drive: waitpid(): %s\n", argv[0],
+      std::fprintf(stderr, "%s drive: waitpid(): %s\n", o.prog,
                    std::strerror(errno));
       return 1;
     }
@@ -1321,7 +890,7 @@ int cmd_drive(int argc, char** argv) {
                           : strprintf("killed by signal %d", WTERMSIG(status));
     if (w.attempts >= 2) {
       std::fprintf(stderr, "%s drive: shard %d/%d crashed again (%s); giving up\n",
-                   argv[0], idx, shards, how.c_str());
+                   o.prog, idx, shards, how.c_str());
       gave_up = true;
       --live;
       continue;
@@ -1329,10 +898,10 @@ int cmd_drive(int argc, char** argv) {
     std::fprintf(stderr,
                  "%s drive: shard %d/%d crashed (%s); retrying once, "
                  "resuming '%s'\n",
-                 argv[0], idx, shards, how.c_str(), w.out.c_str());
+                 o.prog, idx, shards, how.c_str(), w.out.c_str());
     w.pid = launch(idx);
     if (w.pid < 0) {
-      std::fprintf(stderr, "%s drive: fork(): %s\n", argv[0],
+      std::fprintf(stderr, "%s drive: fork(): %s\n", o.prog,
                    std::strerror(errno));
       return 1;
     }
@@ -1341,7 +910,7 @@ int cmd_drive(int argc, char** argv) {
 
   std::vector<std::string> paths;
   for (const Worker& w : workers) paths.push_back(w.out);
-  return merge_shard_files(argv[0], "drive", paths, out_path);
+  return merge_shard_files(o.prog, "drive", paths, o.out_path);
 }
 
 // --- serve / submit / cache -------------------------------------------------
@@ -1349,21 +918,12 @@ int cmd_drive(int argc, char** argv) {
 volatile std::sig_atomic_t g_stop_signal = 0;
 void on_stop_signal(int) { g_stop_signal = 1; }
 
-int cmd_serve(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "serve",
-      {"--socket", "--tcp", "--cache", "--cache-max-bytes", "--threads",
-       "--sg-threads", "--csc-threads"},
-      /*accept_positional=*/false);
-  if (o.socket_path.empty() && o.tcp.empty()) {
-    std::fprintf(stderr, "%s serve: --socket PATH or --tcp HOST:PORT is "
-                 "required\n", argv[0]);
-    print_command_usage(stderr, argv[0], "serve");
-    return 2;
-  }
+int cmd_serve(const CliOptions& o) {
+  if (o.socket_path.empty() && o.tcp.empty())
+    return usage_error(o, "--socket PATH or --tcp HOST:PORT is required");
   if (o.cache_max_bytes >= 0 && o.cache_dir.empty()) {
     std::fprintf(stderr, "%s serve: --cache-max-bytes requires --cache DIR\n",
-                 argv[0]);
+                 o.prog);
     return 2;
   }
   ServeOptions so;
@@ -1379,7 +939,7 @@ int cmd_serve(int argc, char** argv) {
   } catch (const Error& e) {
     // Bind failures — socket path held by a live daemon, TCP port in
     // use or privileged — are clean recoverable errors by contract.
-    std::fprintf(stderr, "%s serve: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s serve: %s\n", o.prog, e.what());
     return 1;
   }
   std::signal(SIGINT, on_stop_signal);
@@ -1405,15 +965,10 @@ int cmd_serve(int argc, char** argv) {
 
 /// Resolve the daemon endpoint from --socket / --connect (exactly one).
 /// Returns nullopt after printing the usage error.
-std::optional<Endpoint> client_endpoint(const char* argv0,
-                                        const std::string& cmd,
-                                        const CliOptions& o) {
+std::optional<Endpoint> client_endpoint(const CliOptions& o) {
   if (o.socket_path.empty() == o.connect.empty()) {
-    std::fprintf(stderr,
-                 "%s %s: exactly one of --socket PATH or --connect "
-                 "HOST:PORT is required\n",
-                 argv0, cmd.c_str());
-    print_command_usage(stderr, argv0, cmd);
+    usage_error(o, "exactly one of --socket PATH or --connect HOST:PORT is "
+                   "required");
     return std::nullopt;
   }
   if (!o.connect.empty()) return parse_tcp_endpoint(o.connect);
@@ -1450,8 +1005,7 @@ Result submit_with_retries(
 /// Items that failed to LOAD locally never reach the wire: their records
 /// render here, exactly as batch would (load diagnostics are a local
 /// fact; the server never saw the file).
-int submit_batch(const char* argv0, const CliOptions& o,
-                 const Endpoint& endpoint) {
+int submit_batch(const CliOptions& o, const Endpoint& endpoint) {
   const std::vector<BatchSpec> corpus = build_corpus(o);
   std::vector<SubmitRequest> wire_items;
   std::vector<std::size_t> wire_to_corpus;
@@ -1480,7 +1034,7 @@ int submit_batch(const char* argv0, const CliOptions& o,
   BatchSubmitResult res;
   if (!wire_items.empty()) {
     res = submit_with_retries<BatchSubmitResult>(
-        argv0, o.retries, [&]() -> BatchSubmitResult {
+        o.prog, o.retries, [&]() -> BatchSubmitResult {
           return serve_submit_batch(
               endpoint, wire_items, bo, [&](const std::string& line) {
                 if (o.trace && starts_with(line, "item "))
@@ -1488,13 +1042,13 @@ int submit_batch(const char* argv0, const CliOptions& o,
               });
         });
     if (!res.protocol_ok) {
-      std::fprintf(stderr, "%s submit: %s\n", argv0, res.error.c_str());
+      std::fprintf(stderr, "%s submit: %s\n", o.prog, res.error.c_str());
       return 1;
     }
     if (res.records.size() != wire_items.size()) {
       std::fprintf(stderr,
                    "%s submit: server streamed %zu records for %zu items\n",
-                   argv0, res.records.size(), wire_items.size());
+                   o.prog, res.records.size(), wire_items.size());
       return 1;
     }
     for (std::size_t w = 0; w < res.records.size(); ++w) {
@@ -1503,44 +1057,31 @@ int submit_batch(const char* argv0, const CliOptions& o,
             parse_item_record_json(res.records[w]);
       } catch (const Error& e) {
         std::fprintf(stderr, "%s submit: malformed record from server: %s\n",
-                     argv0, e.what());
+                     o.prog, e.what());
         return 1;
       }
     }
   }
   result = tally(std::move(result.items));
-  if (!write_output(argv0, o.out_path, to_json(result))) return 1;
+  if (!write_output(o.prog, o.out_path, to_json(result))) return 1;
   return result.failed_count == 0 ? 0 : 1;
 }
 
-int cmd_submit(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "submit",
-      {"--socket", "--connect", "--retries", "--spec", "--corpus",
-       "--pipeline-stages", "--name", "--mode", "--max-states", "--to",
-       "--deadline-ms", "--no-cache", "--trace", "--out"},
-      /*accept_positional=*/false);
-  const std::optional<Endpoint> endpoint =
-      client_endpoint(argv[0], "submit", o);
+int cmd_submit(const CliOptions& o) {
+  const std::optional<Endpoint> endpoint = client_endpoint(o);
   if (!endpoint) return 2;
   // Multiple --spec files (or --corpus builtin) go through the `batch`
   // verb: one connection, one record streamed per item in corpus order.
   if (o.use_builtin || o.spec_files.size() > 1)
-    return submit_batch(argv[0], o, *endpoint);
-  if (o.spec_files.size() != 1) {
-    std::fprintf(stderr,
-                 "%s submit: --spec FILE.g (or --corpus builtin) is "
-                 "required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "submit");
-    return 2;
-  }
+    return submit_batch(o, *endpoint);
+  if (o.spec_files.size() != 1)
+    return usage_error(o, "--spec FILE.g (or --corpus builtin) is required");
   SubmitRequest req;
   req.name = o.submit_name.empty() ? o.spec_files[0] : o.submit_name;
   {
     std::ifstream in(o.spec_files[0], std::ios::binary);
     if (!in) {
-      std::fprintf(stderr, "%s submit: cannot read '%s'\n", argv[0],
+      std::fprintf(stderr, "%s submit: cannot read '%s'\n", o.prog,
                    o.spec_files[0].c_str());
       return 1;
     }
@@ -1555,7 +1096,7 @@ int cmd_submit(int argc, char** argv) {
   req.use_cache = !o.no_cache;
 
   const SubmitResult res = submit_with_retries<SubmitResult>(
-      argv[0], o.retries, [&]() -> SubmitResult {
+      o.prog, o.retries, [&]() -> SubmitResult {
         return serve_submit(*endpoint, req, [&](const std::string& line) {
           if (o.trace && (starts_with(line, "stage ") ||
                           starts_with(line, "cache ")))
@@ -1563,7 +1104,7 @@ int cmd_submit(int argc, char** argv) {
         });
       });
   if (!res.protocol_ok) {
-    std::fprintf(stderr, "%s submit: %s\n", argv[0], res.error.c_str());
+    std::fprintf(stderr, "%s submit: %s\n", o.prog, res.error.c_str());
     return 1;
   }
   // Re-wrap the streamed record into the one-item batch envelope: the
@@ -1574,50 +1115,35 @@ int cmd_submit(int argc, char** argv) {
     result.items[0] = parse_item_record_json(res.record_json);
   } catch (const Error& e) {
     std::fprintf(stderr, "%s submit: malformed record from server: %s\n",
-                 argv[0], e.what());
+                 o.prog, e.what());
     return 1;
   }
   (result.items[0].ok ? result.ok_count : result.failed_count) += 1;
-  if (!write_output(argv[0], o.out_path, to_json(result))) return 1;
+  if (!write_output(o.prog, o.out_path, to_json(result))) return 1;
   return result.failed_count == 0 ? 0 : 1;
 }
 
-int cmd_metrics(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(argc, argv, "metrics",
-                                     {"--socket", "--connect", "--out"},
-                                     /*accept_positional=*/false);
-  const std::optional<Endpoint> endpoint =
-      client_endpoint(argv[0], "metrics", o);
+int cmd_metrics(const CliOptions& o) {
+  const std::optional<Endpoint> endpoint = client_endpoint(o);
   if (!endpoint) return 2;
   std::string json;
   try {
     json = serve_metrics(*endpoint);
   } catch (const Error& e) {
-    std::fprintf(stderr, "%s metrics: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s metrics: %s\n", o.prog, e.what());
     return 1;
   }
-  if (!write_output(argv[0], o.out_path, json + "\n")) return 1;
+  if (!write_output(o.prog, o.out_path, json + "\n")) return 1;
   return 0;
 }
 
-int cmd_cache(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "cache",
-      {"--cache", "--max-bytes", "--spec", "--mode", "--max-states", "--to"},
-      /*accept_positional=*/true);
-  if (o.positional.size() != 1) {
-    std::fprintf(stderr,
-                 "%s cache: one of stats|clear|prune|key is required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "cache");
-    return 2;
-  }
+int cmd_cache(const CliOptions& o) {
   const std::string& verb = o.positional[0];
   try {
     if (verb == "stats" || verb == "clear" || verb == "prune") {
       if (o.cache_dir.empty()) {
         std::fprintf(stderr, "%s cache %s: --cache DIR is required\n",
-                     argv[0], verb.c_str());
+                     o.prog, verb.c_str());
         return 2;
       }
       const ResultCache cache(o.cache_dir);
@@ -1628,7 +1154,7 @@ int cmd_cache(int argc, char** argv) {
       } else if (verb == "prune") {
         if (o.max_bytes < 0) {
           std::fprintf(stderr, "%s cache prune: --max-bytes N is required\n",
-                       argv[0]);
+                       o.prog);
           return 2;
         }
         const ResultCache::PruneStats st =
@@ -1646,13 +1172,13 @@ int cmd_cache(int argc, char** argv) {
       if (o.spec_files.size() != 1) {
         std::fprintf(stderr,
                      "%s cache key: exactly one --spec FILE.g is required\n",
-                     argv[0]);
+                     o.prog);
         return 2;
       }
       const std::vector<BatchSpec> corpus =
           load_corpus_files(o.spec_files, o.file_opts);
       if (corpus[0].load_error) {
-        std::fprintf(stderr, "%s cache key: %s\n", argv[0],
+        std::fprintf(stderr, "%s cache key: %s\n", o.prog,
                      corpus[0].load_error->message.c_str());
         return 1;
       }
@@ -1660,31 +1186,17 @@ int cmd_cache(int argc, char** argv) {
       return 0;
     }
   } catch (const Error& e) {
-    std::fprintf(stderr, "%s cache: %s\n", argv[0], e.what());
+    std::fprintf(stderr, "%s cache: %s\n", o.prog, e.what());
     return 1;
   }
-  std::fprintf(stderr, "%s cache: unknown subcommand '%s'\n", argv[0],
-               verb.c_str());
-  print_command_usage(stderr, argv[0], "cache");
-  return 2;
+  return usage_error(o, "unknown subcommand '" + verb + "'");
 }
 
-int cmd_merge(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(argc, argv, "merge", {"--out"},
-                                     /*accept_positional=*/true);
-  if (o.positional.empty()) {
-    std::fprintf(stderr, "%s merge: no shard files given\n", argv[0]);
-    print_command_usage(stderr, argv[0], "merge");
-    return 2;
-  }
-  return merge_shard_files(argv[0], "merge", o.positional, o.out_path);
+int cmd_merge(const CliOptions& o) {
+  return merge_shard_files(o.prog, "merge", o.positional, o.out_path);
 }
 
-int cmd_list(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(
-      argc, argv, "list",
-      {"--corpus", "--spec", "--pipeline-stages", "--mode", "--max-states"},
-      /*accept_positional=*/false);
+int cmd_list(const CliOptions& o) {
   for (const auto& item : build_corpus(o)) std::puts(item.name.c_str());
   return 0;
 }
@@ -1692,8 +1204,7 @@ int cmd_list(int argc, char** argv) {
 /// Print the stage registry — one line per canonical name, in rank
 /// order: name, the modes that run it, description. The machine-readable
 /// source of `--to` targets.
-int cmd_list_stages(int argc, char** argv) {
-  parse_or_exit(argc, argv, "list-stages", {}, /*accept_positional=*/false);
+int cmd_list_stages(const CliOptions&) {
   for (const StageInfo& s : stage_registry()) {
     const char* modes = s.in_rt && s.in_si ? "rt,si" : (s.in_rt ? "rt" : "si");
     std::printf("%-20s %-6s %s\n", s.name, modes, s.title);
@@ -1703,15 +1214,7 @@ int cmd_list_stages(int argc, char** argv) {
 
 /// Write the builder specs as `.g` files — the reproducible half of the
 /// checked-in specs/ corpus (tools/gen_golden.sh re-runs this).
-int cmd_export_specs(int argc, char** argv) {
-  const CliOptions o = parse_or_exit(argc, argv, "export-specs", {},
-                                     /*accept_positional=*/true);
-  if (o.positional.size() != 1) {
-    std::fprintf(stderr, "%s export-specs: exactly one DIR is required\n",
-                 argv[0]);
-    print_command_usage(stderr, argv[0], "export-specs");
-    return 2;
-  }
+int cmd_export_specs(const CliOptions& o) {
   const std::string& dir = o.positional[0];
   struct Item {
     const char* file;
@@ -1726,37 +1229,195 @@ int cmd_export_specs(int argc, char** argv) {
   };
   for (const Item& item : items) {
     const std::string path = dir + "/" + item.file;
-    if (!write_output(argv[0], path, write_stg(item.spec))) return 1;
+    if (!write_output(o.prog, path, write_stg(item.spec))) return 1;
   }
   return 0;
+}
+const Command kCommands[] = {
+    {"run", "run ONE .g specification through the flow",
+     "run --spec FILE.g [options]",
+     "Run exactly one specification through the staged flow and emit the\n"
+     "canonical one-item batch JSON: the bytes `batch` prints for the same\n"
+     "spec and flags. --spec is required, exactly once.",
+     {"--spec", "--mode", "--max-states", "--to", "--netlist-out",
+      "--sg-threads", "--csc-threads", "--deadline-ms", "--cache", "--trace",
+      "--timings", "--out"},
+     0, 0, cmd_run},
+    {"batch", "run a corpus of specifications, emit canonical JSON",
+     "batch [options]",
+     "Run the corpus on a worker pool and emit canonical JSON (the\n"
+     "golden-diffed format; `--timings` adds wall clocks for humans). The\n"
+     "bytes are the same at any thread mixture and with or without\n"
+     "--cache.",
+     {"--corpus", "--spec", "--pipeline-stages", "--mode", "--max-states",
+      "--to", "--netlist-dir", "--threads", "--sg-threads", "--csc-threads",
+      "--deadline-ms", "--cache", "--timings", "--out"},
+     0, 0, cmd_batch},
+    {"shard", "run shard i of N of a corpus, emit a shard file",
+     "shard --shard I/N [options]",
+     "Run the items whose corpus index ≡ I (mod N) and emit a versioned\n"
+     "shard file (\"schema\": 1, records keyed by corpus index). --shard is\n"
+     "required. Every shard process must be given the SAME corpus flags in\n"
+     "the same order; `merge` reassembles N shard files into output\n"
+     "byte-identical to a single-process `batch`. A --resume partial from\n"
+     "a different corpus, flags or shard id fails loudly.",
+     {"--shard", "--corpus", "--spec", "--pipeline-stages", "--mode",
+      "--max-states", "--to", "--threads", "--sg-threads", "--csc-threads",
+      "--deadline-ms", "--resume", "--out"},
+     0, 0, cmd_shard},
+    {"sweep", "fan ONE spec out over fault/delay/environment variants",
+     "sweep --spec NAME|FILE.g [options]",
+     "Robustness battery: run ONE specification through the flow, then\n"
+     "fan it out over generated variants — every single-stuck-at fault\n"
+     "site of the synthesized netlist (driven by the spec's own\n"
+     "protocol), delay-window assignments sampled from a seeded grid\n"
+     "(stressing the back-annotated RT constraints via metric-timed\n"
+     "reduction), and environment phase offsets — and emit the\n"
+     "canonical SweepReport JSON (normative schema: docs/CLI.md).\n"
+     "--spec is required, exactly once: a path, a generated name\n"
+     "(pipelineN/ringN), NAME.g, or specs/NAME.g — first match wins.\n"
+     "Byte-identical at any --threads value; a --shard I/N run emits a\n"
+     "sweep shard file instead, and `merge` over a complete shard set\n"
+     "reproduces the single-process report byte-for-byte.\n"
+     "\n"
+     "Exit: 0 sweep ran (undetected faults / broken windows are\n"
+     "FINDINGS, reported in the JSON, not failures); 1 the flow or the\n"
+     "fault-free protocol run failed, or output could not be written;\n"
+     "2 usage error.",
+     {"--spec", "--mode", "--max-states", "--delay-variants",
+      "--env-variants", "--no-faults", "--seed", "--sim-ps", "--shard",
+      "--threads", "--sg-threads", "--csc-threads", "--deadline-ms", "--out"},
+     0, 0, cmd_sweep},
+    {"merge", "reassemble N shard files (batch or sweep) into JSON",
+     "merge SHARD.json... [options]",
+     "Validate and reassemble N shard files (one per shard id) into the\n"
+     "canonical batch JSON — byte-identical to running the whole corpus\n"
+     "in one `batch` process. Exit code follows the batch contract: 1 if\n"
+     "any merged item failed.\n"
+     "\n"
+     "Sweep shard files (\"kind\": \"sweep-shard\", from `sweep --shard`)\n"
+     "are detected from the first file and merged into the canonical\n"
+     "SweepReport instead — byte-identical to the single-process `sweep`.\n"
+     "Batch and sweep shards cannot be mixed. Sweep merges exit 0 on\n"
+     "success: undetected faults are findings, not failures.",
+     {"--out"},
+     1, std::numeric_limits<std::size_t>::max(), cmd_merge},
+    {"drive", "launch N shard worker processes, retry crashes, merge",
+     "drive --shards N --work-dir DIR [options]",
+     "Multi-process batch: launch N `shard --resume` worker processes\n"
+     "(re-executing this binary), wait for them, retry each crashed shard\n"
+     "exactly once (the retry resumes the crashed worker's checkpoint\n"
+     "file, so completed items are not recomputed), then merge\n"
+     "in-process. The merged JSON is byte-identical to a single-process\n"
+     "`batch` over the same corpus. --shards and --work-dir are required;\n"
+     "valid partials already in the work directory are resumed, which is\n"
+     "also how YOU recover from a killed drive. Every option but\n"
+     "--shards, --work-dir and --out is checked here, then forwarded to\n"
+     "every worker.\n"
+     "\n"
+     "Exit: 0 all items ok; 1 an item failed, a worker crashed twice, or\n"
+     "output could not be written; 2 usage error.",
+     {"--shards", "--work-dir", "--out", "--corpus", "--spec",
+      "--pipeline-stages", "--mode", "--max-states", "--to", "--threads",
+      "--sg-threads", "--csc-threads", "--deadline-ms"},
+     0, 0, cmd_drive},
+    {"serve", "long-running daemon: submissions over Unix socket/TCP",
+     "serve --socket PATH|--tcp HOST:PORT [options]",
+     "Flow-as-a-service: listen on a Unix-domain socket and/or a TCP\n"
+     "endpoint (the SAME line protocol over both; at least one is\n"
+     "required), accept submissions (see `submit`), schedule at most the\n"
+     "corpus thread budget concurrently, stream per-stage progress, honor\n"
+     "per-request deadlines, consult/populate the result store, and keep\n"
+     "a metrics registry (see `metrics`). Runs until a client's\n"
+     "`shutdown` verb or SIGINT/SIGTERM. A stale socket file is replaced;\n"
+     "a live daemon on the path, or a TCP bind failure, is a clean error\n"
+     "(exit 1). Protocol spec: docs/CLI.md.",
+     {"--socket", "--tcp", "--cache", "--cache-max-bytes", "--threads",
+      "--sg-threads", "--csc-threads"},
+     0, 0, cmd_serve},
+    {"submit", "send specifications to a serve daemon (one, or a corpus)",
+     "submit --socket PATH|--connect HOST:PORT --spec FILE.g... [options]",
+     "Send specifications to a running serve daemon (exactly one of\n"
+     "--socket and --connect) and print the canonical batch JSON. One\n"
+     "--spec: byte-identical to `run` with the same spec and flags.\n"
+     "Several --spec flags (or --corpus builtin): the whole set streams\n"
+     "through the daemon's `batch` verb on one connection, one record per\n"
+     "item in corpus order — byte-identical to `batch` over the same\n"
+     "corpus.",
+     {"--socket", "--connect", "--spec", "--corpus", "--pipeline-stages",
+      "--name", "--mode", "--max-states", "--to", "--deadline-ms",
+      "--no-cache", "--retries", "--trace", "--out"},
+     0, 0, cmd_submit},
+    {"metrics", "fetch a serve daemon's metrics snapshot as JSON",
+     "metrics --socket PATH|--connect HOST:PORT [options]",
+     "Fetch a serve daemon's metrics snapshot (exactly one of --socket and\n"
+     "--connect) and print it as one line of JSON: counters, gauges, and\n"
+     "fixed-bucket latency histograms (per flow stage and per request).\n"
+     "The schema is deterministic — only observed values vary between\n"
+     "runs; the normative table is in docs/CLI.md.",
+     {"--socket", "--connect", "--out"},
+     0, 0, cmd_metrics},
+    {"cache", "inspect or prune the content-addressed result store",
+     "cache stats|clear|prune|key [options]",
+     "Inspect or prune the content-addressed result store.\n"
+     "\n"
+     "  stats --cache DIR    entry count and total bytes\n"
+     "  clear --cache DIR    delete every entry (prints how many)\n"
+     "  prune --cache DIR --max-bytes N\n"
+     "                       evict least-recently-used entries until the\n"
+     "                       store fits in N bytes (recency = last store\n"
+     "                       or cache hit; deterministic order)\n"
+     "  key --spec FILE.g [--mode si|rt] [--max-states N] [--to STAGE]\n"
+     "                       print the cache key those flags address —\n"
+     "                       the normative key definition is in\n"
+     "                       docs/CLI.md",
+     {"--cache", "--max-bytes", "--spec", "--mode", "--max-states", "--to"},
+     1, 1, cmd_cache},
+    {"list", "print the corpus item names", "list [options]",
+     "Print corpus item names, one per line, in corpus-index order (the\n"
+     "order shard ids are computed from).",
+     {"--corpus", "--spec", "--pipeline-stages", "--mode", "--max-states"},
+     0, 0, cmd_list},
+    {"list-stages", "print the canonical flow stage names (--to targets)",
+     "list-stages",
+     "Print every canonical flow stage in Figure 2 order — the names\n"
+     "`--to STAGE` accepts — with the modes that run it and a one-line\n"
+     "description. Stages sharing a rank (synth-rt, synth-si and the\n"
+     "synth alias) are one stop point.",
+     {}, 0, 0, cmd_list_stages},
+    {"export-specs", "write the built-in builder specs as .g files",
+     "export-specs DIR",
+     "Write every built-in builder spec to DIR as .g files (the\n"
+     "reproducible half of the checked-in specs/ corpus;\n"
+     "tools/gen_golden.sh re-runs this).",
+     {}, 1, 1, cmd_export_specs},
+};
+
+/// The global --help: every command, then every flag.
+void print_global_usage(std::FILE* to, const char* prog) {
+  std::fprintf(to, "usage: %s <command> [options]\n\ncommands:\n", prog);
+  for (const Command& c : kCommands)
+    std::fprintf(to, "  %-13s %s\n", c.name, c.summary);
+  std::fprintf(to, "\noptions (`<command> --help` lists the ones each "
+                   "command takes):\n");
+  for (const Flag& f : kFlags) print_flag(to, f);
+  std::fprintf(to,
+               "\nexit codes: 0 success; 1 runtime failure (failed item, "
+               "bad input\nfile, unwritable output); 2 usage error.\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, kGlobalUsage, argv[0], argv[0]);
-    return 2;
-  }
-  const std::string cmd = argv[1];
+  const std::string cmd = argc < 2 ? "" : argv[1];
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-    std::printf(kGlobalUsage, argv[0], argv[0]);
+    print_global_usage(stdout, argv[0]);
     return 0;
   }
-  if (cmd == "run") return cmd_run(argc, argv);
-  if (cmd == "batch") return cmd_batch(argc, argv);
-  if (cmd == "shard") return cmd_shard(argc, argv);
-  if (cmd == "sweep") return cmd_sweep(argc, argv);
-  if (cmd == "merge") return cmd_merge(argc, argv);
-  if (cmd == "drive") return cmd_drive(argc, argv);
-  if (cmd == "serve") return cmd_serve(argc, argv);
-  if (cmd == "submit") return cmd_submit(argc, argv);
-  if (cmd == "metrics") return cmd_metrics(argc, argv);
-  if (cmd == "cache") return cmd_cache(argc, argv);
-  if (cmd == "list") return cmd_list(argc, argv);
-  if (cmd == "list-stages") return cmd_list_stages(argc, argv);
-  if (cmd == "export-specs") return cmd_export_specs(argc, argv);
-  std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0], cmd.c_str());
-  std::fprintf(stderr, kGlobalUsage, argv[0], argv[0]);
+  for (const Command& c : kCommands)
+    if (cmd == c.name) return c.run(parse_or_exit(argc, argv, c));
+  if (argc >= 2)
+    std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0], cmd.c_str());
+  print_global_usage(stderr, argv[0]);
   return 2;
 }

@@ -63,4 +63,14 @@ RTFLOW_TEST_CRASH_AFTER="1:$WORK/no_such_dir/marker" \
 grep -q "giving up" "$WORK/fatal.log" \
   || fail "double-crashing drive never reported giving up"
 
+# 5. A malformed forwarded flag is the driver's usage error (exit 2),
+#    caught before any worker is launched: no crash report, no shard file.
+"$CLI" drive --shards 2 --work-dir "$WORK/malformed" --corpus builtin \
+  --sg-threads abc --out "$WORK/malformed.json" 2>"$WORK/malformed.log"
+[ "$?" -eq 2 ] || fail "drive with --sg-threads abc should exit 2"
+grep -q "crashed" "$WORK/malformed.log" \
+  && fail "drive launched workers for a malformed flag"
+ls "$WORK/malformed"/shard_*.json >/dev/null 2>&1 \
+  && fail "drive left shard files for a malformed flag"
+
 echo "PASS"
