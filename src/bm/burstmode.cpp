@@ -1,10 +1,10 @@
 #include "bm/burstmode.hpp"
 
 #include <deque>
+#include <map>
 
 #include "logic/minimize.hpp"
 #include "synth/mapper.hpp"
-#include "logic/truthtable.hpp"
 
 namespace rtcad {
 
@@ -61,29 +61,24 @@ BmSynthResult synthesize_bm(const BmMachine& m) {
   while ((1 << state_bits) < m.num_states()) ++state_bits;
   const int nsig = m.num_signals();
   const int nvars = nsig + state_bits;
-  RTCAD_EXPECTS(nvars <= TruthTable::kMaxVars);
+  // Rest values are 32-bit words.
+  RTCAD_EXPECTS(nvars <= 32);
 
   auto total = [&](std::uint32_t values, int state) {
-    return values | (static_cast<std::uint32_t>(state) << nsig);
+    return values | (static_cast<std::uint64_t>(state) << nsig);
   };
 
-  // One truth table per output signal and per state bit; everything not
-  // explicitly pinned is a don't-care (fundamental mode).
-  std::vector<TruthTable> out_fn;
-  for (int i = 0; i < nsig + state_bits; ++i) {
-    out_fn.emplace_back(nvars);
-    out_fn.back().fill_unspecified_with_dc();
-  }
-  auto pin = [&](int fn, std::uint32_t minterm, bool value) {
-    if (value)
-      out_fn[fn].set_on(minterm);
-    else
-      out_fn[fn].set_off(minterm);
+  // The pins of each output signal and state bit, the last pin of a
+  // minterm winning; everything not pinned is a don't-care (fundamental
+  // mode).
+  std::vector<std::map<std::uint64_t, bool>> pins(nvars);
+  auto pin = [&](int fn, std::uint64_t minterm, bool value) {
+    pins[fn][minterm] = value;
   };
 
   for (int s = 0; s < m.num_states(); ++s) {
     // Rest point: outputs hold their rest value, state code holds.
-    const std::uint32_t rest_tot = total(rest[s], s);
+    const std::uint64_t rest_tot = total(rest[s], s);
     for (int sig = 0; sig < nsig; ++sig) {
       if (m.is_input(sig)) continue;
       pin(sig, rest_tot, rest[s] >> sig & 1);
@@ -98,7 +93,7 @@ BmSynthResult synthesize_bm(const BmMachine& m) {
       for (const Edge& e : arc.inputs) after_in ^= 1u << e.signal;
       std::uint32_t after_out = after_in;
       for (const Edge& e : arc.outputs) after_out ^= 1u << e.signal;
-      const std::uint32_t trig = total(after_in, s);
+      const std::uint64_t trig = total(after_in, s);
       for (int sig = 0; sig < nsig; ++sig) {
         if (m.is_input(sig)) continue;
         pin(sig, trig, after_out >> sig & 1);
@@ -115,7 +110,7 @@ BmSynthResult synthesize_bm(const BmMachine& m) {
         for (int i = 0; i < k; ++i) {
           if (subset >> i & 1) partial ^= 1u << arc.inputs[i].signal;
         }
-        const std::uint32_t tot = total(partial, s);
+        const std::uint64_t tot = total(partial, s);
         for (int sig = 0; sig < nsig; ++sig) {
           if (m.is_input(sig)) continue;
           pin(sig, tot, rest[s] >> sig & 1);
@@ -153,7 +148,10 @@ BmSynthResult synthesize_bm(const BmMachine& m) {
   CoverMapper mapper(&nl, var_net);
   for (int i = 0; i < nvars; ++i) {
     if (i < nsig && m.is_input(i)) continue;
-    const Cover cover = minimize(out_fn[i]);
+    OnOffSet f{nvars, {}, {}};
+    for (const auto& [minterm, value] : pins[i])
+      (value ? f.on : f.off).push_back(minterm);
+    const Cover cover = minimize(f);
     result.literals += cover.num_literals();
     mapper.map_cover_into(cover, var_net[i],
                           nl.net(var_net[i]).name + "_f");

@@ -39,7 +39,7 @@ inline constexpr int kCacheSchema = 1;
 /// can alter result bytes — flow algorithms, stage details, record JSON
 /// rendering, netlist dumps. Goldens change in the same commit, so the
 /// rule of thumb is: regenerated goldens => bump this.
-inline constexpr int kCacheCodeVersion = 1;
+inline constexpr int kCacheCodeVersion = 2;
 
 /// The normative cache key (documented in docs/CLI.md): lowercase-hex
 /// SHA-256 over a length-framed encoding of, in order,

@@ -3,10 +3,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <optional>
@@ -61,6 +64,7 @@ struct FlowService::Impl {
   std::vector<std::thread> acceptors;
   int bound_tcp_port = 0;
   std::vector<std::thread> handlers;
+  std::vector<std::thread::id> finished;  // returned handlers, to be joined
   mutable std::mutex mu;
   std::condition_variable cv;
   bool started = false;
@@ -86,14 +90,6 @@ struct FlowService::Impl {
       registry.gauge("serve.active_flows").set(active_flows);
     }
     cv.notify_all();
-  }
-
-  void track_fd(int fd, bool add) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (add)
-      open_fds.insert(fd);
-    else
-      open_fds.erase(fd);
   }
 
   void track_token(const CancelToken* t, bool add) {
@@ -202,13 +198,9 @@ struct FlowService::Impl {
       return true;
     }
     if (word == "max-states") {
-      const long long n = std::atoll(val.c_str());
-      if (n < 1) {
-        protocol_error("max-states must be >= 1");
-        return false;
-      }
-      req->max_states = static_cast<std::size_t>(n);
-      return true;
+      const auto n = wire_number(word, val, 1, SIZE_MAX, protocol_error);
+      if (n) req->max_states = *n;
+      return n.has_value();
     }
     if (word == "to") {
       if (stage_rank(val) < 0) {
@@ -222,17 +214,27 @@ struct FlowService::Impl {
     return false;
   }
 
+  /// The value of header `word` as a whole number in [lo, hi]; empty
+  /// (after reporting) on anything else.
+  static std::optional<unsigned long long> wire_number(
+      const std::string& word, const std::string& val, unsigned long long lo,
+      unsigned long long hi,
+      const std::function<void(const std::string&)>& protocol_error) {
+    const auto n = parse_whole_number(val, lo, hi);
+    if (!n)
+      protocol_error(strprintf("%s must be a whole number in [%llu, %llu]",
+                               word.c_str(), lo, hi));
+    return n;
+  }
+
   /// Read a framed "spec <N>\n<bytes>\n" payload into req->spec_text.
   bool read_spec_payload(
       SocketReader* in, const std::string& val, SubmitRequest* req,
       const std::function<void(const std::string&)>& protocol_error) {
-    const long long n = std::atoll(val.c_str());
-    if (n < 0 || static_cast<std::size_t>(n) > opts.max_spec_bytes) {
-      protocol_error(
-          strprintf("spec size out of range (max %zu)", opts.max_spec_bytes));
-      return false;
-    }
-    if (!in->read_exact(&req->spec_text, static_cast<std::size_t>(n))) {
+    const auto n = wire_number("spec", val, 0, opts.max_spec_bytes,
+                               protocol_error);
+    if (!n) return false;
+    if (!in->read_exact(&req->spec_text, *n)) {
       protocol_error("connection closed inside spec payload");
       return false;
     }
@@ -377,12 +379,9 @@ struct FlowService::Impl {
       const std::string val =
           sp == std::string::npos ? "" : line.substr(sp + 1);
       if (word == "deadline-ms") {
-        const long long n = std::atoll(val.c_str());
-        if (n < 0 || (n == 0 && val != "0")) {
-          protocol_error("deadline-ms must be a number >= 0");
-          return;
-        }
-        req.deadline_ms = static_cast<long>(n);
+        const auto n = wire_number(word, val, 0, LONG_MAX, protocol_error);
+        if (!n) return;
+        req.deadline_ms = static_cast<long>(*n);
       } else if (word == "cache") {
         if (val != "on" && val != "off") {
           protocol_error("cache must be on|off");
@@ -461,12 +460,9 @@ struct FlowService::Impl {
         }
         use_cache = val == "on";
       } else if (word == "deadline-ms") {
-        const long long n = std::atoll(val.c_str());
-        if (n < 0 || (n == 0 && val != "0")) {
-          protocol_error("deadline-ms must be a number >= 0");
-          return;
-        }
-        deadline_ms = static_cast<long>(n);
+        const auto n = wire_number(word, val, 0, LONG_MAX, protocol_error);
+        if (!n) return;
+        deadline_ms = static_cast<long>(*n);
       } else if (word == "item") {
         if (!items.empty() && !current_has_spec) {
           protocol_error("item '" + items.back().name +
@@ -551,19 +547,35 @@ struct FlowService::Impl {
     for (;;) {
       const int fd = listener->accept_connection();
       if (fd < 0) return;  // listener shut down: drain out
+      std::vector<std::thread> done;
       {
         std::lock_guard<std::mutex> lock(mu);
         if (stopping) {
           close_fd(fd);
           return;
         }
+        // Join the handlers that have returned: one never joined keeps its
+        // stack mapped until stop().
+        for (const std::thread::id id : finished) {
+          const auto it = std::find_if(
+              handlers.begin(), handlers.end(),
+              [id](const std::thread& t) { return t.get_id() == id; });
+          done.push_back(std::move(*it));
+          handlers.erase(it);
+        }
+        finished.clear();
+        open_fds.insert(fd);
         handlers.emplace_back([this, fd] {
-          track_fd(fd, true);
           handle_connection(fd);
-          track_fd(fd, false);
+          // Untracked before it closes, so stop() never shuts down a
+          // reused descriptor.
+          std::lock_guard<std::mutex> lock(mu);
+          open_fds.erase(fd);
           close_fd(fd);
+          finished.push_back(std::this_thread::get_id());
         });
       }
+      for (std::thread& t : done) t.join();
     }
   }
 };
@@ -759,10 +771,9 @@ SubmitResult serve_submit(
     } else if (starts_with(line, "stage ")) {
       out.stage_lines.push_back(line.substr(6));
     } else if (starts_with(line, "record ")) {
-      const long long n = std::atoll(line.c_str() + 7);
-      if (n < 0 || !in.read_exact(&out.record_json,
-                                  static_cast<std::size_t>(n))) {
-        out.error = "truncated record payload";
+      const auto n = parse_whole_number(std::string_view(line).substr(7));
+      if (!n || !in.read_exact(&out.record_json, *n)) {
+        out.error = n ? "truncated record payload" : "malformed " + line;
         out.transport_failure = true;
         break;
       }
@@ -846,11 +857,10 @@ BatchSubmitResult serve_submit_batch(
               ? std::string()
               : line.substr(cache_pos + std::string(" cache ").size()));
     } else if (starts_with(line, "record ")) {
-      const long long n = std::atoll(line.c_str() + 7);
+      const auto n = parse_whole_number(std::string_view(line).substr(7));
       std::string record;
-      if (n < 0 ||
-          !in.read_exact(&record, static_cast<std::size_t>(n))) {
-        out.error = "truncated record payload";
+      if (!n || !in.read_exact(&record, *n)) {
+        out.error = n ? "truncated record payload" : "malformed " + line;
         out.transport_failure = true;
         break;
       }
@@ -922,11 +932,11 @@ std::string serve_metrics(const Endpoint& endpoint) {
     close_fd(fd);
     throw Error("server did not frame a metrics payload");
   }
-  const long long n = std::atoll(line.c_str() + 8);
+  const auto n = parse_whole_number(std::string_view(line).substr(8));
   std::string payload;
-  if (n < 0 || !in.read_exact(&payload, static_cast<std::size_t>(n))) {
+  if (!n || !in.read_exact(&payload, *n)) {
     close_fd(fd);
-    throw Error("truncated metrics payload");
+    throw Error(n ? "truncated metrics payload" : "malformed " + line);
   }
   close_fd(fd);
   return payload;

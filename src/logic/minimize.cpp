@@ -3,31 +3,19 @@
 #include <algorithm>
 
 namespace rtcad {
-namespace {
 
-/// OFF minterms of `f` in increasing order: the complement of ON ∪ DC,
-/// read one 64-bit word of the table at a time.
-std::vector<std::uint32_t> off_minterms(const TruthTable& f) {
-  const std::vector<std::uint64_t>& on = f.on_set().words();
-  const std::vector<std::uint64_t>& dc = f.dc_set().words();
-  const std::uint64_t tail =
-      f.size() < 64 ? (std::uint64_t{1} << f.size()) - 1 : ~std::uint64_t{0};
-  std::vector<std::uint32_t> off;
-  for (std::size_t w = 0; w < on.size(); ++w) {
-    for (std::uint64_t bits = ~(on[w] | dc[w]) & tail; bits;
-         bits &= bits - 1) {
-      off.push_back(
-          static_cast<std::uint32_t>(w * 64 + __builtin_ctzll(bits)));
-    }
-  }
-  return off;
+bool OnOffSet::is_implemented_by(const Cover& cover) const {
+  for (const std::uint64_t m : on)
+    if (!cover.eval(m)) return false;
+  for (const std::uint64_t m : off)
+    if (cover.eval(m)) return false;
+  return true;
 }
 
-}  // namespace
-
-std::vector<Cube> prime_implicants(const TruthTable& f) {
-  const int n = f.nvars();
-  const std::uint64_t all_vars = (std::uint64_t{1} << n) - 1;
+std::vector<Cube> prime_implicants(const OnOffSet& f) {
+  const int n = f.nvars;
+  const std::uint64_t all_vars =
+      n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   // Invariant: `primes` holds exactly the primes of the function that is
   // 1 everywhere except on the OFF minterms processed so far; no cube in
   // it contains another.
@@ -36,7 +24,7 @@ std::vector<Cube> prime_implicants(const TruthTable& f) {
   // absorbers[v]: care masks, minus v, of the kept cubes whose only
   // literal disagreeing with the current OFF minterm is on variable v.
   std::vector<std::vector<std::uint64_t>> absorbers(n);
-  for (const std::uint32_t m : off_minterms(f)) {
+  for (const std::uint64_t m : f.off) {
     split.clear();
     for (auto& bucket : absorbers) bucket.clear();
     std::size_t kept = 0;
@@ -83,7 +71,7 @@ namespace {
 class CoverSolver {
  public:
   CoverSolver(const std::vector<Cube>& primes,
-              const std::vector<std::uint32_t>& targets, bool exact,
+              const std::vector<std::uint64_t>& targets, bool exact,
               std::size_t exact_limit)
       : primes_(primes), targets_(targets) {
     covers_.resize(targets.size());
@@ -104,7 +92,7 @@ class CoverSolver {
     // Branch and bound, seeded with the greedy solution as the bound.
     best_ = chosen;
     std::vector<std::size_t> partial;
-    BitVec covered(targets_.size());
+    std::vector<char> covered(targets_.size(), 0);
     mark(covered, partial, essential_only());
     branch(covered, partial);
     return best_;
@@ -121,12 +109,12 @@ class CoverSolver {
     return ess;
   }
 
-  void mark(BitVec& covered, std::vector<std::size_t>& partial,
+  void mark(std::vector<char>& covered, std::vector<std::size_t>& partial,
             const std::vector<std::size_t>& picks) {
     for (auto p : picks) {
       partial.push_back(p);
       for (std::size_t t = 0; t < targets_.size(); ++t)
-        if (primes_[p].covers_minterm(targets_[t])) covered.set(t);
+        if (primes_[p].covers_minterm(targets_[t])) covered[t] = 1;
     }
   }
 
@@ -143,19 +131,15 @@ class CoverSolver {
     return total_literals(primes_, a) < total_literals(primes_, b);
   }
 
-  void branch(BitVec& covered, std::vector<std::size_t>& partial) {
+  void branch(std::vector<char>& covered, std::vector<std::size_t>& partial) {
+    // First uncovered target; there is none once `partial` covers all.
+    const std::size_t t = static_cast<std::size_t>(
+        std::find(covered.begin(), covered.end(), 0) - covered.begin());
+    const bool complete = t == targets_.size();
     if (partial.size() >= best_.size() &&
-        !(partial.size() == best_.size() && covered.count() == targets_.size()))
+        !(partial.size() == best_.size() && complete))
       return;  // bound on cube count
-    // Find first uncovered target.
-    std::size_t t = targets_.size();
-    for (std::size_t i = 0; i < targets_.size(); ++i) {
-      if (!covered.test(i)) {
-        t = i;
-        break;
-      }
-    }
-    if (t == targets_.size()) {
+    if (complete) {
       if (better(partial, best_)) best_ = partial;
       return;
     }
@@ -163,32 +147,32 @@ class CoverSolver {
       std::vector<bool> newly;
       newly.reserve(targets_.size());
       for (std::size_t i = 0; i < targets_.size(); ++i) {
-        const bool add = !covered.test(i) &&
-                         primes_[p].covers_minterm(targets_[i]);
+        const bool add =
+            !covered[i] && primes_[p].covers_minterm(targets_[i]);
         newly.push_back(add);
-        if (add) covered.set(i);
+        if (add) covered[i] = 1;
       }
       partial.push_back(p);
       branch(covered, partial);
       partial.pop_back();
       for (std::size_t i = 0; i < targets_.size(); ++i)
-        if (newly[i]) covered.reset(i);
+        if (newly[i]) covered[i] = 0;
     }
   }
 
   std::vector<std::size_t> essential_plus_greedy() {
     std::vector<std::size_t> chosen = essential_only();
-    BitVec covered(targets_.size());
+    std::vector<char> covered(targets_.size(), 0);
     for (auto p : chosen)
       for (std::size_t t = 0; t < targets_.size(); ++t)
-        if (primes_[p].covers_minterm(targets_[t])) covered.set(t);
-    while (covered.count() < targets_.size()) {
+        if (primes_[p].covers_minterm(targets_[t])) covered[t] = 1;
+    while (std::find(covered.begin(), covered.end(), 0) != covered.end()) {
       std::size_t best_p = primes_.size();
       long best_gain = -1;
       for (std::size_t p = 0; p < primes_.size(); ++p) {
         long gain = 0;
         for (std::size_t t = 0; t < targets_.size(); ++t)
-          if (!covered.test(t) && primes_[p].covers_minterm(targets_[t]))
+          if (!covered[t] && primes_[p].covers_minterm(targets_[t]))
             ++gain;
         // Prefer more coverage; break ties toward fewer literals.
         if (gain > best_gain ||
@@ -201,7 +185,7 @@ class CoverSolver {
       RTCAD_ASSERT(best_p < primes_.size() && best_gain > 0);
       chosen.push_back(best_p);
       for (std::size_t t = 0; t < targets_.size(); ++t)
-        if (primes_[best_p].covers_minterm(targets_[t])) covered.set(t);
+        if (primes_[best_p].covers_minterm(targets_[t])) covered[t] = 1;
     }
     std::sort(chosen.begin(), chosen.end());
     chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
@@ -209,7 +193,7 @@ class CoverSolver {
   }
 
   const std::vector<Cube>& primes_;
-  const std::vector<std::uint32_t>& targets_;
+  const std::vector<std::uint64_t>& targets_;
   std::vector<std::vector<std::size_t>> covers_;
   std::vector<std::size_t> best_;
   bool exact_ = false;
@@ -217,12 +201,9 @@ class CoverSolver {
 
 }  // namespace
 
-Cover minimize(const TruthTable& f, const MinimizeOptions& opts) {
-  Cover out(f.nvars());
-  std::vector<std::uint32_t> on;
-  for (std::uint32_t m = 0; m < f.size(); ++m)
-    if (f.is_on(m)) on.push_back(m);
-  if (on.empty()) return out;  // constant 0
+Cover minimize(const OnOffSet& f, const MinimizeOptions& opts) {
+  Cover out(f.nvars);
+  if (f.on.empty()) return out;  // constant 0
 
   const std::vector<Cube> primes = prime_implicants(f);
   if (primes.size() == 1 && primes[0].is_tautology()) {
@@ -230,7 +211,8 @@ Cover minimize(const TruthTable& f, const MinimizeOptions& opts) {
     return out;
   }
 
-  CoverSolver solver(primes, on, opts.exact_cover, opts.exact_limit);
+  // The ON codes are ascending: the solver breaks ties by target order.
+  CoverSolver solver(primes, f.on, opts.exact_cover, opts.exact_limit);
   for (auto idx : solver.solve()) out.cubes.push_back(primes[idx]);
   RTCAD_ENSURES(f.is_implemented_by(out));
   return out;

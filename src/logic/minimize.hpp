@@ -3,6 +3,11 @@
 // exact primes matter because speed-independent covers must respect
 // monotonicity constraints checked by the synthesizer downstream.
 //
+// A function is given by its ON and OFF codes alone; every other code is
+// a don't-care. Synthesis lists only the reachable codes of a state
+// graph, so the function's size follows the graph, not the 2^n code
+// space, and any signal count a state code holds (64) fits.
+//
 // Primes are generated from the OFF set, not from the ON and DC
 // minterms (Nelson's theorem): start from the tautology and remove the
 // OFF minterms one at a time. Removing minterm m replaces every cube c
@@ -14,12 +19,24 @@
 // (every unreachable code) costs nothing to enumerate.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "logic/cube.hpp"
-#include "logic/truthtable.hpp"
 
 namespace rtcad {
+
+/// Incompletely specified single-output function over `nvars` <= 64
+/// variables: 1 on the `on` codes, 0 on the `off` codes, free elsewhere.
+/// Both lists are ascending and disjoint.
+struct OnOffSet {
+  int nvars = 0;
+  std::vector<std::uint64_t> on;
+  std::vector<std::uint64_t> off;
+
+  /// True if `cover` is 1 on every ON code and 0 on every OFF code.
+  bool is_implemented_by(const Cover& cover) const;
+};
 
 struct MinimizeOptions {
   /// Use exact branch-and-bound covering when the prime/minterm matrix is
@@ -39,11 +56,11 @@ struct MinimizeOptions {
 /// change every netlist, golden and cache key downstream. It is the order
 /// Quine-McCluskey merging emits (level by level, each level sorted by
 /// care then value), which the tests keep as the reference.
-std::vector<Cube> prime_implicants(const TruthTable& f);
+std::vector<Cube> prime_implicants(const OnOffSet& f);
 
 /// Minimum(ish) SOP cover of f: covers all ON minterms, avoids all OFF
 /// minterms, may use DC minterms freely. Cube count is minimized first,
 /// then literal count among selected primes.
-Cover minimize(const TruthTable& f, const MinimizeOptions& opts = {});
+Cover minimize(const OnOffSet& f, const MinimizeOptions& opts = {});
 
 }  // namespace rtcad

@@ -48,10 +48,11 @@ SynthResult synthesize_si(const StateGraph& sg, const SynthOptions& opts) {
   }
   CoverMapper mapper(&nl, signal_net);
   const auto names = stg.signal_names();
+  const std::vector<CodeRow> rows = code_rows(sg);
 
   for (int s = 0; s < stg.num_signals(); ++s) {
     if (stg.is_input(s)) continue;
-    const SignalFunctions fns = derive_functions(sg, s);
+    const SignalFunctions fns = derive_functions(sg, rows, s);
     const std::string& name = stg.signal(s).name;
 
     if (opts.style == SynthStyle::kComplexGate) {

@@ -1,61 +1,74 @@
 #include "synth/nextstate.hpp"
 
+#include <algorithm>
+
 namespace rtcad {
 
-SignalFunctions derive_functions(const StateGraph& sg, int signal) {
+std::vector<CodeRow> code_rows(const StateGraph& sg) {
+  std::vector<CodeRow> rows(static_cast<std::size_t>(sg.num_states()));
+  for (int s = 0; s < sg.num_states(); ++s)
+    rows[s] = CodeRow{sg.code(s), sg.excited_rise_mask(s),
+                      sg.excited_fall_mask(s), s};
+  std::sort(rows.begin(), rows.end(), [](const CodeRow& a, const CodeRow& b) {
+    return a.code != b.code ? a.code < b.code : a.state < b.state;
+  });
+  return rows;
+}
+
+SignalFunctions derive_functions(const StateGraph& sg,
+                                 const std::vector<CodeRow>& rows,
+                                 int signal) {
   const Stg& stg = sg.stg();
   const int n = stg.num_signals();
-  if (n > TruthTable::kMaxVars)
-    throw SpecError("too many signals (" + std::to_string(n) +
-                    ") for truth-table synthesis");
+  SignalFunctions out{OnOffSet{n, {}, {}}, OnOffSet{n, {}, {}},
+                      OnOffSet{n, {}, {}}, false};
+  const std::uint64_t bit = std::uint64_t{1} << signal;
 
-  SignalFunctions out{TruthTable(n), TruthTable(n), TruthTable(n), false};
-  out.next.fill_unspecified_with_dc();
-  out.set_fn.fill_unspecified_with_dc();
-  out.reset_fn.fill_unspecified_with_dc();
-
-  // Track which codes have been pinned to detect CSC disagreements.
-  enum : signed char { kUnset = -1 };
-  std::vector<signed char> next_pin(out.next.size(), kUnset);
-
+  // Each code's pins, written in state order with the last write winning.
+  enum : signed char { kFree = -1, kOff = 0, kOn = 1 };
+  const auto list = [](OnOffSet* f, std::uint64_t code, signed char pin) {
+    if (pin == kOn) f->on.push_back(code);
+    if (pin == kOff) f->off.push_back(code);
+  };
+  int conflict = -1;  // first state disagreeing with an earlier one
   bool hold_high = false, hold_low = false;
 
-  for (int s = 0; s < sg.num_states(); ++s) {
-    const auto code = static_cast<std::uint32_t>(sg.code(s));
-    const bool rise = sg.excited(s, Edge{signal, Polarity::kRise});
-    const bool fall = sg.excited(s, Edge{signal, Polarity::kFall});
-    const bool value = sg.value(s, signal);
-    const bool target = rise || (value && !fall);
-
-    if (next_pin[code] != kUnset &&
-        next_pin[code] != static_cast<signed char>(target)) {
-      throw SpecError("state graph lacks CSC for signal '" +
-                      stg.signal(signal).name + "' (code " +
-                      std::to_string(code) + ")");
+  for (std::size_t begin = 0, end; begin < rows.size(); begin = end) {
+    end = code_run_end(rows, begin);
+    const std::uint64_t code = rows[begin].code;
+    const bool value = code & bit;
+    signed char next = kFree, set = kFree, reset = kFree;
+    for (std::size_t i = begin; i < end; ++i) {
+      const bool rise = rows[i].rise & bit;
+      const bool fall = rows[i].fall & bit;
+      const signed char target = rise || (value && !fall) ? kOn : kOff;
+      if (next != kFree && next != target) {
+        if (conflict < 0 || rows[i].state < conflict) conflict = rows[i].state;
+        break;
+      }
+      next = target;
+      // Set function: 1 across the rising excitation region, 0 wherever
+      // the signal is (and must stay) 0, free while it sits at 1.
+      if (rise)
+        set = kOn;
+      else if (!value || fall)
+        set = kOff;
+      // Reset function symmetric.
+      if (fall)
+        reset = kOn;
+      else if (value || rise)
+        reset = kOff;
+      if (value && !rise && !fall) hold_high = true;
+      if (!value && !rise && !fall) hold_low = true;
     }
-    next_pin[code] = static_cast<signed char>(target);
-    if (target)
-      out.next.set_on(code);
-    else
-      out.next.set_off(code);
-
-    // Set function: 1 across the rising excitation region, 0 wherever the
-    // signal is (and must stay) 0, free while it sits at 1.
-    if (rise) {
-      out.set_fn.set_on(code);
-    } else if (!value || fall) {
-      out.set_fn.set_off(code);
-    }
-    // Reset function symmetric.
-    if (fall) {
-      out.reset_fn.set_on(code);
-    } else if (value || rise) {
-      out.reset_fn.set_off(code);
-    }
-
-    if (value && !rise && !fall) hold_high = true;
-    if (!value && !rise && !fall) hold_low = true;
+    list(&out.next, code, next);
+    list(&out.set_fn, code, set);
+    list(&out.reset_fn, code, reset);
   }
+  if (conflict >= 0)
+    throw SpecError("state graph lacks CSC for signal '" +
+                    stg.signal(signal).name + "' (code " +
+                    std::to_string(sg.code(conflict)) + ")");
   out.needs_state_holding = hold_high && hold_low;
   return out;
 }

@@ -1,8 +1,6 @@
 #include "synth/rtsynth.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "logic/minimize.hpp"
 #include "synth/mapper.hpp"
@@ -15,43 +13,44 @@ namespace {
 /// states sit one non-s event before the excitation region, plus the
 /// orderings required if the optimizer uses them.
 struct LazyRegion {
-  /// code -> skipped trigger edges (each yields "trigger before s-edge").
-  std::map<std::uint32_t, std::vector<Edge>> codes;
+  /// Ascending codes, each with its skipped trigger edges (each yields
+  /// "trigger before s-edge").
+  std::vector<std::pair<std::uint64_t, std::vector<Edge>>> codes;
 };
 
-LazyRegion lazy_region(const StateGraph& sg, int signal, Polarity pol) {
+LazyRegion lazy_region(const StateGraph& sg, const std::vector<CodeRow>& rows,
+                       int signal, Polarity pol) {
   const Stg& stg = sg.stg();
   LazyRegion out;
   const Edge mine{signal, pol};
-  // Per code bookkeeping: a code is lazy-eligible only if EVERY state
-  // carrying it is lazy-eligible (otherwise the code is still needed with
-  // its original value).
-  std::map<std::uint32_t, bool> eligible;
-  std::map<std::uint32_t, std::vector<Edge>> triggers;
-
-  for (int s = 0; s < sg.num_states(); ++s) {
-    const auto code = static_cast<std::uint32_t>(sg.code(s));
-    const bool value = sg.value(s, signal);
-    const bool stable_pre = (pol == Polarity::kRise) ? !value : value;
-    if (!stable_pre || sg.excited(s, mine)) {
-      eligible[code] = false;
-      continue;
-    }
-    bool found = false;
-    for (const auto& [t, to] : sg.out_edges(s)) {
-      const auto& label = stg.transition(t).label;
-      if (!label || label->signal == signal) continue;
-      if (sg.excited(to, mine)) {
-        found = true;
-        triggers[code].push_back(*label);
+  const std::uint64_t bit = std::uint64_t{1} << signal;
+  std::vector<Edge> edges;
+  for (std::size_t begin = 0, end; begin < rows.size(); begin = end) {
+    end = code_run_end(rows, begin);
+    // A code is lazy-eligible only if EVERY state carrying it is
+    // (otherwise the code is still needed with its original value).
+    const bool value = rows[begin].code & bit;
+    bool eligible = pol == Polarity::kRise ? !value : value;
+    edges.clear();
+    for (std::size_t i = begin; i < end && eligible; ++i) {
+      // The state itself is not excited, and some non-s edge leads into
+      // the excitation region.
+      const std::uint64_t excited =
+          pol == Polarity::kRise ? rows[i].rise : rows[i].fall;
+      bool found = false;
+      if (!(excited & bit)) {
+        for (const auto& [t, to] : sg.out_edges(rows[i].state)) {
+          const auto& label = stg.transition(t).label;
+          if (!label || label->signal == signal) continue;
+          if (sg.excited(to, mine)) {
+            found = true;
+            edges.push_back(*label);
+          }
+        }
       }
+      eligible = found;
     }
-    auto [it, inserted] = eligible.emplace(code, found);
-    if (!inserted) it->second = it->second && found;
-  }
-  for (const auto& [code, ok] : eligible) {
-    if (!ok) continue;
-    auto& edges = triggers[code];
+    if (!eligible) continue;
     // Deduplicate trigger edges.
     std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
       return a.signal != b.signal ? a.signal < b.signal
@@ -59,9 +58,20 @@ LazyRegion lazy_region(const StateGraph& sg, int signal, Polarity pol) {
                                         static_cast<int>(b.pol);
     });
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    out.codes[code] = edges;
+    out.codes.emplace_back(rows[begin].code, edges);
   }
   return out;
+}
+
+/// The lazy codes leave f's OFF list: early enabling makes them free.
+void free_lazy_codes(OnOffSet* f, const LazyRegion& lazy) {
+  std::vector<std::uint64_t> off;
+  auto l = lazy.codes.begin();
+  for (const std::uint64_t code : f->off) {
+    while (l != lazy.codes.end() && l->first < code) ++l;
+    if (l == lazy.codes.end() || l->first != code) off.push_back(code);
+  }
+  f->off = std::move(off);
 }
 
 void add_constraint(std::vector<RtConstraint>* constraints, const Edge& before,
@@ -125,22 +135,19 @@ RtSynthResult synthesize_rt(const StateGraph& sg, const RtSynthOptions& opts,
   }
   CoverMapper mapper(&nl, signal_net);
   const auto names = stg.signal_names();
+  const std::vector<CodeRow> rows = code_rows(red.sg);
 
   for (int s = 0; s < stg.num_signals(); ++s) {
     if (stg.is_input(s)) continue;
-    SignalFunctions fns = derive_functions(red.sg, s);
+    SignalFunctions fns = derive_functions(red.sg, rows, s);
     const std::string& name = stg.signal(s).name;
 
     LazyRegion rise_lazy, fall_lazy;
     if (opts.lazy) {
-      rise_lazy = lazy_region(red.sg, s, Polarity::kRise);
-      fall_lazy = lazy_region(red.sg, s, Polarity::kFall);
-      for (const auto& [code, trig] : rise_lazy.codes) {
-        if (fns.set_fn.is_off(code)) fns.set_fn.set_dc(code);
-      }
-      for (const auto& [code, trig] : fall_lazy.codes) {
-        if (fns.reset_fn.is_off(code)) fns.reset_fn.set_dc(code);
-      }
+      rise_lazy = lazy_region(red.sg, rows, s, Polarity::kRise);
+      fall_lazy = lazy_region(red.sg, rows, s, Polarity::kFall);
+      free_lazy_codes(&fns.set_fn, rise_lazy);
+      free_lazy_codes(&fns.reset_fn, fall_lazy);
     }
 
     const Cover set_cover = minimize(fns.set_fn);

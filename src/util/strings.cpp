@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -32,6 +33,17 @@ std::string_view trim(std::string_view s) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+std::optional<unsigned long long> parse_whole_number(std::string_view s,
+                                                     unsigned long long lo,
+                                                     unsigned long long hi) {
+  // from_chars takes digits only for an unsigned type: no space, no sign.
+  unsigned long long n = 0;
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, n);
+  if (ec != std::errc{} || stop != end || n < lo || n > hi) return {};
+  return n;
 }
 
 std::string strprintf(const char* fmt, ...) {

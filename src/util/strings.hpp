@@ -1,6 +1,8 @@
 // Small string utilities shared by the parsers and report writers.
 #pragma once
 
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +17,12 @@ std::vector<std::string> split(std::string_view s,
 std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
+
+/// `s` as a decimal whole number in [lo, hi]: digits and nothing else.
+/// Every number the CLI and the wire protocol read goes through it.
+std::optional<unsigned long long> parse_whole_number(
+    std::string_view s, unsigned long long lo = 0,
+    unsigned long long hi = std::numeric_limits<unsigned long long>::max());
 
 /// printf-style formatting into a std::string.
 std::string strprintf(const char* fmt, ...)

@@ -100,4 +100,25 @@ inline Stg wide_ring_stg(int n) {
   return stg;
 }
 
+/// The Johnson counter ring s0+ s1+ ... s(n-1)+ s0- s1- ... s(n-1)- over
+/// `n` signals, s0 an input and the rest outputs: 2n states with distinct
+/// codes, so CSC holds and every output is a buffer of its predecessor.
+inline Stg johnson_stg(int n) {
+  Stg stg("johnson" + std::to_string(n));
+  std::vector<int> rises, falls;
+  for (int i = 0; i < n; ++i) {
+    const int sig = stg.add_signal("s" + std::to_string(i),
+                                   i == 0 ? SignalKind::kInput
+                                          : SignalKind::kOutput);
+    rises.push_back(stg.add_transition(Edge{sig, Polarity::kRise}));
+    falls.push_back(stg.add_transition(Edge{sig, Polarity::kFall}));
+  }
+  std::vector<int> ring = rises;
+  ring.insert(ring.end(), falls.begin(), falls.end());
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    stg.add_arc_tt(ring[i], ring[(i + 1) % ring.size()],
+                   i + 1 == ring.size() ? 1 : 0);
+  return stg;
+}
+
 }  // namespace rtcad

@@ -5,7 +5,6 @@
 
 #include "logic/cube.hpp"
 #include "logic/minimize.hpp"
-#include "logic/truthtable.hpp"
 #include "util/rng.hpp"
 
 namespace rtcad {
@@ -18,16 +17,37 @@ struct CubeHash {
   }
 };
 
+/// The function over `nvars` <= 10 variables whose value at minterm m is
+/// `at(m)`: '1' ON, '0' OFF, anything else a don't-care.
+template <typename At>
+OnOffSet tabulate(int nvars, At at) {
+  OnOffSet f{nvars, {}, {}};
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << nvars); ++m) {
+    const char v = at(m);
+    if (v == '1') f.on.push_back(m);
+    if (v == '0') f.off.push_back(m);
+  }
+  return f;
+}
+
+/// True if `cover` is 1 on some OFF code of f.
+bool hits_off(const OnOffSet& f, const Cover& cover) {
+  return std::any_of(f.off.begin(), f.off.end(),
+                     [&](std::uint64_t m) { return cover.eval(m); });
+}
+
 /// Reference prime generator: Quine-McCluskey merging from every ON and
 /// DC minterm. It emits primes level by level (literal count descending),
 /// each level sorted by (care, value) — the canonical order
 /// prime_implicants() promises.
-std::vector<Cube> qm_prime_implicants(const TruthTable& f) {
-  const int n = f.nvars();
-  // Level 0: all ON and DC minterms as full-care cubes.
+std::vector<Cube> qm_prime_implicants(const OnOffSet& f) {
+  const int n = f.nvars;
+  // Level 0: all ON and DC minterms (every code not OFF) as full-care
+  // cubes.
   std::unordered_set<Cube, CubeHash> current;
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
-    if (f.is_on(m) || f.is_dc(m)) current.insert(Cube::minterm(m, n));
+  for (std::uint64_t m = 0; m < (std::uint64_t{1} << n); ++m) {
+    if (!std::binary_search(f.off.begin(), f.off.end(), m))
+      current.insert(Cube::minterm(m, n));
   }
 
   std::vector<Cube> primes;
@@ -135,30 +155,15 @@ TEST(Cover, RemoveContained) {
   EXPECT_EQ(f.cubes[0], a);
 }
 
-TEST(TruthTable, OnOffDc) {
-  TruthTable f(2);
-  f.set_on(0b11);
-  f.set_dc(0b01);
-  EXPECT_TRUE(f.is_on(3));
-  EXPECT_TRUE(f.is_dc(1));
-  EXPECT_TRUE(f.is_off(0));
-  EXPECT_EQ(f.on_count(), 1u);
-  f.set_off(3);
-  EXPECT_TRUE(f.is_off(3));
-}
-
 TEST(Minimize, AndFunction) {
-  TruthTable f(2);
-  f.set_on(0b11);
+  const OnOffSet f{2, {0b11}, {0b00, 0b01, 0b10}};
   const Cover c = minimize(f);
   ASSERT_EQ(c.cubes.size(), 1u);
   EXPECT_EQ(c.num_literals(), 2);
 }
 
 TEST(Minimize, XorNeedsTwoCubes) {
-  TruthTable f(2);
-  f.set_on(0b01);
-  f.set_on(0b10);
+  const OnOffSet f{2, {0b01, 0b10}, {0b00, 0b11}};
   const Cover c = minimize(f);
   EXPECT_EQ(c.cubes.size(), 2u);
   EXPECT_EQ(c.num_literals(), 4);
@@ -166,18 +171,14 @@ TEST(Minimize, XorNeedsTwoCubes) {
 
 TEST(Minimize, DontCaresMergeCubes) {
   // ON = {00}, DC = {01, 10, 11}: minimal cover is the tautology.
-  TruthTable f(2);
-  f.set_on(0b00);
-  f.set_dc(0b01);
-  f.set_dc(0b10);
-  f.set_dc(0b11);
+  const OnOffSet f{2, {0b00}, {}};
   const Cover c = minimize(f);
   ASSERT_EQ(c.cubes.size(), 1u);
   EXPECT_TRUE(c.cubes[0].is_tautology());
 }
 
 TEST(Minimize, ConstantZero) {
-  TruthTable f(3);
+  const OnOffSet f = tabulate(3, [](std::uint64_t) { return '0'; });
   const Cover c = minimize(f);
   EXPECT_TRUE(c.empty());
 }
@@ -185,12 +186,28 @@ TEST(Minimize, ConstantZero) {
 TEST(Minimize, ClassicFourVariable) {
   // f = sum of minterms {4,8,10,11,12,15}, dc {9,14} -- a textbook QM
   // example whose minimum has 4 cubes / 9 literals or fewer.
-  TruthTable f(4);
-  for (std::uint32_t m : {4, 8, 10, 11, 12, 15}) f.set_on(m);
-  for (std::uint32_t m : {9, 14}) f.set_dc(m);
+  const OnOffSet f = tabulate(4, [](std::uint64_t m) {
+    for (std::uint64_t on : {4, 8, 10, 11, 12, 15})
+      if (m == on) return '1';
+    return m == 9 || m == 14 ? '-' : '0';
+  });
   const Cover c = minimize(f);
   EXPECT_TRUE(f.is_implemented_by(c));
   EXPECT_LE(c.cubes.size(), 4u);
+}
+
+TEST(Minimize, SixtyFourVariables) {
+  // ON = {all ones}, OFF = {0}: every positive literal is a prime, and
+  // the first of them in canonical order (x0) is the cover.
+  const OnOffSet f{64, {~std::uint64_t{0}}, {0}};
+  const std::vector<Cube> primes = prime_implicants(f);
+  ASSERT_EQ(primes.size(), 64u);
+  for (int v = 0; v < 64; ++v)
+    EXPECT_EQ(primes[v], Cube(std::uint64_t{1} << v, std::uint64_t{1} << v));
+  const Cover c = minimize(f);
+  ASSERT_EQ(c.cubes.size(), 1u);
+  EXPECT_EQ(c.cubes[0], primes[0]);
+  EXPECT_TRUE(f.is_implemented_by(c));
 }
 
 class MinimizeRandom : public ::testing::TestWithParam<int> {};
@@ -200,20 +217,14 @@ TEST_P(MinimizeRandom, CoverIsCorrectAndIrredundant) {
   // implements the spec and never uses more cubes than the ON-set size.
   Rng rng(GetParam());
   const int nvars = 3 + static_cast<int>(rng.below(4));  // 3..6
-  TruthTable f(nvars);
-  std::size_t on = 0;
-  for (std::uint32_t m = 0; m < f.size(); ++m) {
+  const OnOffSet f = tabulate(nvars, [&](std::uint64_t) {
     const double p = rng.uniform();
-    if (p < 0.3) {
-      f.set_on(m);
-      ++on;
-    } else if (p < 0.5) {
-      f.set_dc(m);
-    }
-  }
+    return p < 0.3 ? '1' : p < 0.5 ? '-' : '0';
+  });
+  const std::size_t on = f.on.size();
   const Cover c = minimize(f);
   EXPECT_TRUE(f.is_implemented_by(c));
-  EXPECT_FALSE(f.cover_hits_off(c));
+  EXPECT_FALSE(hits_off(f, c));
   EXPECT_LE(c.cubes.size(), std::max<std::size_t>(on, 1));
   // Every cube must be a prime implicant (maximal): dropping any literal
   // hits the OFF set.
@@ -224,7 +235,7 @@ TEST_P(MinimizeRandom, CoverIsCorrectAndIrredundant) {
       weaker.drop_literal(v);
       Cover w(nvars);
       w.cubes = {weaker};
-      EXPECT_TRUE(f.cover_hits_off(w))
+      EXPECT_TRUE(hits_off(f, w))
           << "cube not prime for seed " << GetParam();
     }
   }
@@ -234,10 +245,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MinimizeRandom, ::testing::Range(1, 33));
 
 TEST(Primes, AllPrimesOfSmallFunction) {
   // f(a,b) = a'b + ab' + ab = a + b; primes: {a, b}.
-  TruthTable f(2);
-  f.set_on(0b01);
-  f.set_on(0b10);
-  f.set_on(0b11);
+  const OnOffSet f{2, {0b01, 0b10, 0b11}, {0b00}};
   const auto primes = prime_implicants(f);
   EXPECT_EQ(primes.size(), 2u);
   for (const auto& p : primes) EXPECT_EQ(p.num_literals(), 1);
@@ -251,14 +259,10 @@ TEST(Primes, MatchQuineMcCluskeyOnRandomFunctions) {
     for (int n = 0; n <= 10; ++n) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         Rng rng(seed * 1000 + static_cast<std::uint64_t>(n));
-        TruthTable f(n);
-        for (std::uint32_t m = 0; m < f.size(); ++m) {
-          if (rng.chance(off_density)) continue;
-          if (rng.chance(0.5))
-            f.set_on(m);
-          else
-            f.set_dc(m);
-        }
+        const OnOffSet f = tabulate(n, [&](std::uint64_t) {
+          if (rng.chance(off_density)) return '0';
+          return rng.chance(0.5) ? '1' : '-';
+        });
         EXPECT_EQ(prime_implicants(f), qm_prime_implicants(f))
             << "n=" << n << " off_density=" << off_density
             << " seed=" << seed;
@@ -269,33 +273,26 @@ TEST(Primes, MatchQuineMcCluskeyOnRandomFunctions) {
 
 TEST(Primes, MatchQuineMcCluskeyOnEdgeCases) {
   // n = 0: the constant functions.
-  TruthTable zero(0);
+  const OnOffSet zero{0, {}, {0}};
   EXPECT_TRUE(prime_implicants(zero).empty());
-  TruthTable one(0);
-  one.set_on(0);
+  const OnOffSet one{0, {0}, {}};
   EXPECT_EQ(prime_implicants(one), std::vector<Cube>{Cube::tautology()});
 
   // All OFF: no primes.
-  TruthTable all_off(4);
+  const OnOffSet all_off = tabulate(4, [](std::uint64_t) { return '0'; });
   EXPECT_TRUE(prime_implicants(all_off).empty());
   EXPECT_EQ(prime_implicants(all_off), qm_prime_implicants(all_off));
 
   // No OFF minterm: the tautology is the only prime.
-  TruthTable no_off(4);
-  for (std::uint32_t m = 0; m < no_off.size(); ++m) {
-    if (m % 3 == 0)
-      no_off.set_dc(m);
-    else
-      no_off.set_on(m);
-  }
+  const OnOffSet no_off =
+      tabulate(4, [](std::uint64_t m) { return m % 3 == 0 ? '-' : '1'; });
   EXPECT_EQ(prime_implicants(no_off), std::vector<Cube>{Cube::tautology()});
   EXPECT_EQ(prime_implicants(no_off), qm_prime_implicants(no_off));
 
   // A single OFF minterm m: one single-literal prime per variable, each
   // the literal disagreeing with m.
-  TruthTable single_off(4);
-  for (std::uint32_t m = 0; m < single_off.size(); ++m)
-    if (m != 0b0101) single_off.set_on(m);
+  const OnOffSet single_off =
+      tabulate(4, [](std::uint64_t m) { return m == 0b0101 ? '0' : '1'; });
   const std::vector<Cube> singles = prime_implicants(single_off);
   ASSERT_EQ(singles.size(), 4u);
   for (const Cube& p : singles) {
@@ -306,9 +303,7 @@ TEST(Primes, MatchQuineMcCluskeyOnEdgeCases) {
 
   // ON = {00}, DC = {11}: the prime ab covers only a DC minterm and must
   // still be generated (the exact-cover guard counts every prime).
-  TruthTable dc_only(2);
-  dc_only.set_on(0b00);
-  dc_only.set_dc(0b11);
+  const OnOffSet dc_only{2, {0b00}, {0b01, 0b10}};
   const std::vector<Cube> primes = prime_implicants(dc_only);
   EXPECT_EQ(primes, (std::vector<Cube>{Cube{0b11, 0b00}, Cube{0b11, 0b11}}));
   EXPECT_EQ(primes, qm_prime_implicants(dc_only));

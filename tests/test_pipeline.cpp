@@ -479,5 +479,25 @@ TEST(FlowPipeline, SpecsPastTheSignalLimitFailAsSpecItems) {
   EXPECT_EQ(full.diagnostic.kind, "spec");
 }
 
+TEST(FlowPipeline, WideJohnsonChainsSynthesizeAndConformInBothModes) {
+  // Synthesis keeps each function as its reachable ON and OFF codes, so
+  // it holds every signal count a state code does. Chains of 21, 33 and
+  // 64 signals (2n states, CSC holds) run the whole flow in both modes
+  // and their netlists conform.
+  for (const int n : {21, 33, 64}) {
+    for (FlowOptions opts : {si_opts(), rt_opts()}) {
+      opts.stop_after = "verify-netlist";
+      const BatchItemResult item = run_batch_item(
+          BatchSpec{"johnson" + std::to_string(n), johnson_stg(n), opts, {}},
+          FlowContext{});
+      ASSERT_TRUE(item.ok) << n << ": " << item.diagnostic.message;
+      EXPECT_EQ(item.states, 2 * n);
+      ASSERT_FALSE(item.stages.empty());
+      EXPECT_EQ(item.stages.back().detail.rfind("conforms", 0), 0u)
+          << n << ": " << item.stages.back().detail;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rtcad

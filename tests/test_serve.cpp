@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -190,6 +191,84 @@ TEST_F(ServeTest, ControlVerbsAndProtocolErrors) {
   EXPECT_EQ(serve_control(socket(), "ping"), "pong");
   EXPECT_EQ(service_->stats().protocol_errors, 1);
   EXPECT_TRUE(service_->running());
+}
+
+/// A submit request after the banner, as raw wire lines, with one header
+/// line of the caller's choosing and a framed spec whose size line reads
+/// `spec <size_text>`.
+std::string raw_submit(const std::string& header,
+                       const std::string& size_text = "") {
+  const std::string spec = write_stg(celement_stg());
+  return "submit\nmode si\n" + header + "\nspec " +
+         (size_text.empty() ? std::to_string(spec.size()) : size_text) +
+         "\n" + spec + "\nrun";
+}
+
+/// serve_control sends its verb verbatim, so it doubles as a raw client:
+/// the answer's first line after the banner comes back.
+void expect_rejected(const std::string& socket, const std::string& request) {
+  const std::string first = serve_control(socket, request);
+  EXPECT_EQ(first.rfind("error ", 0), 0u) << first << " <- " << request;
+}
+
+TEST_F(ServeTest, MaxStatesHeaderMustBeAWholeNumber) {
+  start(/*with_cache=*/false);
+  EXPECT_EQ(serve_control(socket(), raw_submit("max-states 5"))
+                .rfind("accepted ", 0),
+            0u);
+  for (const char* bad : {"max-states 5x", "max-states 99999999999999999999",
+                          "max-states -5", "max-states +5", "max-states "})
+    expect_rejected(socket(), raw_submit(bad));
+  EXPECT_EQ(service_->stats().protocol_errors, 5);
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+}
+
+TEST_F(ServeTest, DeadlineHeaderMustBeAWholeNumber) {
+  start(/*with_cache=*/false);
+  EXPECT_EQ(serve_control(socket(), raw_submit("deadline-ms 12"))
+                .rfind("accepted ", 0),
+            0u);
+  expect_rejected(socket(), raw_submit("deadline-ms 12abc"));
+  expect_rejected(socket(), raw_submit("deadline-ms 99999999999999999999"));
+  // The whole-batch deadline goes through the same check.
+  const std::string spec = write_stg(celement_stg());
+  expect_rejected(socket(), "batch\ndeadline-ms 12abc\nitem c\nspec " +
+                                std::to_string(spec.size()) + "\n" + spec +
+                                "\nrun");
+  EXPECT_EQ(service_->stats().protocol_errors, 3);
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+}
+
+TEST_F(ServeTest, SpecSizeMustBeAWholeNumber) {
+  start(/*with_cache=*/false);
+  const std::size_t size = write_stg(celement_stg()).size();
+  // `spec <N>xyz` must not read N bytes and go on.
+  expect_rejected(socket(), raw_submit("name c", std::to_string(size) + "xyz"));
+  expect_rejected(socket(), raw_submit("name c", "-" + std::to_string(size)));
+  EXPECT_EQ(service_->stats().protocol_errors, 2);
+  EXPECT_EQ(service_->stats().requests, 0);
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+}
+
+/// Lines of /proc/self/maps: one per memory mapping of this process.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST_F(ServeTest, FinishedHandlersAreReaped) {
+  // Each connection gets a handler thread. One that has finished must be
+  // joined, not kept until stop(): an unjoined thread keeps its stack
+  // mapped, so 300 sequential pings would add ~600 mappings.
+  start(/*with_cache=*/false);
+  ASSERT_EQ(serve_control(socket(), "ping"), "pong");
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 300; ++i)
+    ASSERT_EQ(serve_control(socket(), "ping"), "pong");
+  const std::size_t after = mapping_count();
+  EXPECT_LT(after, before + 40) << before << " -> " << after << " mappings";
 }
 
 TEST_F(ServeTest, ShutdownVerbStopsTheDaemon) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+
 #include "flow/flow.hpp"
+#include "generated_stgs.hpp"
 #include "sim/sim.hpp"
 #include "sim/stgenv.hpp"
 #include "stg/builders.hpp"
@@ -22,19 +27,125 @@ std::vector<RtAssumption> ring_assumptions(const Stg& f) {
 TEST(NextState, CelementFunctions) {
   const Stg spec = celement_stg();
   const StateGraph sg = StateGraph::build(spec);
-  const SignalFunctions fns = derive_functions(sg, spec.signal_id("c"));
+  const SignalFunctions fns =
+      derive_functions(sg, code_rows(sg), spec.signal_id("c"));
   EXPECT_TRUE(fns.needs_state_holding);
   // Set region: a=1 b=1 c=0 -> minterm with a,b set.
   const int a = spec.signal_id("a"), b = spec.signal_id("b"),
             c = spec.signal_id("c");
-  const std::uint32_t m_set = (1u << a) | (1u << b);
-  EXPECT_TRUE(fns.set_fn.is_on(m_set));
-  EXPECT_TRUE(fns.reset_fn.is_on(1u << c));  // a=b=0, c=1
+  const std::uint64_t m_set = (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
+  const auto is_on = [](const OnOffSet& f, std::uint64_t m) {
+    return std::binary_search(f.on.begin(), f.on.end(), m);
+  };
+  EXPECT_TRUE(is_on(fns.set_fn, m_set));
+  EXPECT_TRUE(is_on(fns.reset_fn, std::uint64_t{1} << c));  // a=b=0, c=1
 }
 
 TEST(NextState, CscViolationThrows) {
   const StateGraph sg = StateGraph::build(fifo_stg());
-  EXPECT_THROW(derive_functions(sg, sg.stg().signal_id("ro")), SpecError);
+  try {
+    derive_functions(sg, code_rows(sg), sg.stg().signal_id("ro"));
+    ADD_FAILURE() << "fifo has no CSC for ro";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(), "state graph lacks CSC for signal 'ro' (code 0)");
+  }
+}
+
+/// derive_functions as one pass over the states in state order: each
+/// code's pins live in a std::map, the last write winning, and the first
+/// state whose target disagrees with its code's pin is the CSC error
+/// (returned in `error` instead of thrown).
+struct ReferenceFunctions {
+  OnOffSet next, set_fn, reset_fn;
+  bool needs_state_holding = false;
+  std::string error;
+};
+
+ReferenceFunctions reference_functions(const StateGraph& sg, int signal) {
+  ReferenceFunctions out;
+  std::map<std::uint64_t, bool> next, set, reset;
+  bool hold_high = false, hold_low = false;
+  for (int s = 0; s < sg.num_states(); ++s) {
+    const std::uint64_t code = sg.code(s);
+    const bool rise = sg.excited(s, Edge{signal, Polarity::kRise});
+    const bool fall = sg.excited(s, Edge{signal, Polarity::kFall});
+    const bool value = sg.value(s, signal);
+    const bool target = rise || (value && !fall);
+    const auto pinned = next.find(code);
+    if (pinned != next.end() && pinned->second != target) {
+      out.error = "state graph lacks CSC for signal '" +
+                  sg.stg().signal(signal).name + "' (code " +
+                  std::to_string(code) + ")";
+      return out;
+    }
+    next[code] = target;
+    if (rise)
+      set[code] = true;
+    else if (!value || fall)
+      set[code] = false;
+    if (fall)
+      reset[code] = true;
+    else if (value || rise)
+      reset[code] = false;
+    if (value && !rise && !fall) hold_high = true;
+    if (!value && !rise && !fall) hold_low = true;
+  }
+  const int n = sg.stg().num_signals();
+  const auto lists = [n](const std::map<std::uint64_t, bool>& pins) {
+    OnOffSet f{n, {}, {}};
+    for (const auto& [code, on] : pins) (on ? f.on : f.off).push_back(code);
+    return f;
+  };
+  out.next = lists(next);
+  out.set_fn = lists(set);
+  out.reset_fn = lists(reset);
+  out.needs_state_holding = hold_high && hold_low;
+  return out;
+}
+
+TEST(NextState, MatchesAPerStateReferenceOnRandomSpecs) {
+  SgOptions opts;
+  opts.max_states = 4096;
+  int derived = 0, conflicts = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Stg stg = random_stg(seed);
+    std::unique_ptr<StateGraph> sg;
+    try {
+      sg = std::make_unique<StateGraph>(StateGraph::build(stg, opts));
+    } catch (const SpecError&) {
+      continue;  // inconsistent, unbounded or over the cap
+    }
+    const std::vector<CodeRow> rows = code_rows(*sg);
+    for (int signal = 0; signal < stg.num_signals(); ++signal) {
+      const std::string where = "seed " + std::to_string(seed) +
+                                " signal " + stg.signal(signal).name;
+      const ReferenceFunctions ref = reference_functions(*sg, signal);
+      if (!ref.error.empty()) {
+        ++conflicts;
+        try {
+          derive_functions(*sg, rows, signal);
+          ADD_FAILURE() << where << ": expected " << ref.error;
+        } catch (const SpecError& e) {
+          EXPECT_EQ(e.what(), ref.error) << where;
+        }
+        continue;
+      }
+      ++derived;
+      const SignalFunctions fns = derive_functions(*sg, rows, signal);
+      const std::pair<const OnOffSet*, const OnOffSet*> pairs[] = {
+          {&fns.next, &ref.next},
+          {&fns.set_fn, &ref.set_fn},
+          {&fns.reset_fn, &ref.reset_fn}};
+      for (const auto& [got, want] : pairs) {
+        EXPECT_EQ(got->nvars, want->nvars) << where;
+        EXPECT_EQ(got->on, want->on) << where;
+        EXPECT_EQ(got->off, want->off) << where;
+      }
+      EXPECT_EQ(fns.needs_state_holding, ref.needs_state_holding) << where;
+    }
+  }
+  EXPECT_GE(derived, 20) << "generator degenerated: almost nothing builds";
+  EXPECT_GE(conflicts, 5) << "no random spec exercises the CSC error";
 }
 
 TEST(SynthSi, CelementMapsToCelementCell) {

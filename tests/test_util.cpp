@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <string>
 
-#include "util/bitvec.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
@@ -12,83 +11,6 @@
 
 namespace rtcad {
 namespace {
-
-TEST(BitVec, SetTestReset) {
-  BitVec b(130);
-  EXPECT_EQ(b.size(), 130u);
-  EXPECT_TRUE(b.none());
-  b.set(0);
-  b.set(64);
-  b.set(129);
-  EXPECT_TRUE(b.test(0));
-  EXPECT_TRUE(b.test(64));
-  EXPECT_TRUE(b.test(129));
-  EXPECT_FALSE(b.test(1));
-  EXPECT_EQ(b.count(), 3u);
-  b.reset(64);
-  EXPECT_EQ(b.count(), 2u);
-}
-
-TEST(BitVec, FindIteration) {
-  BitVec b(200);
-  const std::size_t bits[] = {3, 63, 64, 65, 130, 199};
-  for (auto i : bits) b.set(i);
-  std::vector<std::size_t> seen;
-  for (std::size_t i = b.find_first(); i < b.size(); i = b.find_next(i))
-    seen.push_back(i);
-  EXPECT_EQ(seen, std::vector<std::size_t>(std::begin(bits), std::end(bits)));
-}
-
-TEST(BitVec, FindFirstEmpty) {
-  BitVec b(77);
-  EXPECT_EQ(b.find_first(), 77u);
-}
-
-TEST(BitVec, SetAllRespectsSize) {
-  BitVec b(70);
-  b.set_all();
-  EXPECT_EQ(b.count(), 70u);
-  b.resize(80);
-  EXPECT_EQ(b.count(), 70u);  // new bits zero
-}
-
-TEST(BitVec, ResizeWithValueFillsTail) {
-  BitVec b(10);
-  b.resize(100, true);
-  EXPECT_EQ(b.count(), 90u);
-  EXPECT_FALSE(b.test(5));
-  EXPECT_TRUE(b.test(10));
-  EXPECT_TRUE(b.test(99));
-}
-
-TEST(BitVec, SetOperations) {
-  BitVec a(100), b(100);
-  a.set(1);
-  a.set(50);
-  b.set(50);
-  b.set(99);
-  BitVec u = a | b;
-  EXPECT_EQ(u.count(), 3u);
-  BitVec i = a & b;
-  EXPECT_EQ(i.count(), 1u);
-  EXPECT_TRUE(i.test(50));
-  EXPECT_TRUE(i.is_subset_of(a));
-  EXPECT_TRUE(i.is_subset_of(b));
-  EXPECT_TRUE(a.intersects(b));
-  a.and_not(b);
-  EXPECT_FALSE(a.test(50));
-  EXPECT_TRUE(a.test(1));
-}
-
-TEST(BitVec, EqualityAndHash) {
-  BitVec a(65), b(65);
-  a.set(64);
-  b.set(64);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.hash(), b.hash());
-  b.reset(64);
-  EXPECT_NE(a, b);
-}
 
 TEST(Rng, DeterministicPerSeed) {
   Rng a(42), b(42), c(43);

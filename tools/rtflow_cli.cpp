@@ -110,23 +110,19 @@ struct CliOptions {
   bool sweep_no_faults = false;    // sweep: skip stuck-at variants
 };
 
-/// The one number parser behind every numeric flag: all of `val` must be
-/// a decimal integer in [lo, the field's maximum]. Returns an error
+/// Every numeric flag: all of `val` must be a decimal whole number in
+/// [lo, the field's maximum] (no flag is negative). Returns an error
 /// message, empty on success.
 template <typename T>
 std::string set_number(const char* val, std::type_identity_t<T> lo,
                        T* field) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(val, &end, 10);
   const unsigned long long hi = std::numeric_limits<T>::max();
-  // strtoull negates a '-' sign into a huge value; no flag is negative.
-  if (end == val || *end != '\0' || errno == ERANGE ||
-      std::strchr(val, '-') != nullptr ||
-      n < static_cast<unsigned long long>(lo) || n > hi)
+  const auto n =
+      parse_whole_number(val, static_cast<unsigned long long>(lo), hi);
+  if (!n)
     return strprintf("not a whole number in [%llu, %llu]",
                      static_cast<unsigned long long>(lo), hi);
-  *field = static_cast<T>(n);
+  *field = static_cast<T>(*n);
   return {};
 }
 
