@@ -112,11 +112,18 @@ struct FlowService::Impl {
     std::string line;
     const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
 
+    // Every handler answers a failed read_line() with protocol_error()
+    // and returns, which closes the connection; an over-long line is
+    // reported as what it is.
     const auto protocol_error = [&](const std::string& message) {
       bump(&ServeStats::protocol_errors);
       registry.counter("serve.protocol_error_total").add(1);
       send_line(fd, banner);
-      send_line(fd, "error " + message);
+      send_line(fd, "error " + (in.line_too_long()
+                                    ? strprintf("request line longer than "
+                                                "%zu bytes",
+                                                SocketReader::kMaxLineBytes)
+                                    : message));
     };
 
     if (!in.read_line(&line) || line != banner) {

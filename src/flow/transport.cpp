@@ -303,11 +303,17 @@ bool SocketReader::fill() {
 bool SocketReader::read_line(std::string* line) {
   for (;;) {
     auto nl = buf_.find('\n', scan_);
-    if (nl != std::string::npos) {
+    if (nl != std::string::npos && nl <= kMaxLineBytes) {
       line->assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       scan_ = 0;
       return true;
+    }
+    // The buffer starts at the line being read, so past the bound it can
+    // only hold an over-long line.
+    if (nl != std::string::npos || buf_.size() > kMaxLineBytes) {
+      line_too_long_ = true;
+      return false;
     }
     scan_ = buf_.size();
     if (!fill()) return false;

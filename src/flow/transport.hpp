@@ -142,10 +142,19 @@ bool send_line(int fd, const std::string& line);
 /// exact-count raw reads (for framed spec/record payloads).
 class SocketReader {
  public:
+  /// Longest line read_line() accepts, newline excluded. Far above any
+  /// header or response line; spec and record payloads are framed by byte
+  /// counts and never read as lines.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   explicit SocketReader(int fd) : fd_(fd) {}
 
-  /// Next line without its newline; false on EOF/error before a newline.
+  /// Next line without its newline; false on EOF/error before a newline,
+  /// or once more than kMaxLineBytes arrive without one (then
+  /// line_too_long() is true), so a peer cannot grow the buffer without
+  /// bound.
   bool read_line(std::string* line);
+  bool line_too_long() const { return line_too_long_; }
 
   /// Exactly `n` raw bytes; false on early EOF.
   bool read_exact(std::string* out, std::size_t n);
@@ -156,6 +165,7 @@ class SocketReader {
   int fd_;
   std::string buf_;
   std::size_t scan_ = 0;
+  bool line_too_long_ = false;
 };
 
 }  // namespace rtcad

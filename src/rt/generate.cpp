@@ -105,15 +105,29 @@ std::vector<RtAssumption> generate_assumptions(const StateGraph& sg,
                            ? 1
                            : opts.margin_classes;
   std::vector<int> signal_class(stg.num_signals());
-  for (int sig = 0; sig < stg.num_signals(); ++sig)
+  std::uint64_t class_signals[3] = {};  // bit per signal, by delay class
+  for (int sig = 0; sig < stg.num_signals(); ++sig) {
     signal_class[sig] = delay_class(stg, sig);
+    class_signals[signal_class[sig]] |= std::uint64_t{1} << sig;
+  }
   std::vector<Edge> excited;  // edges excited at the current state
   excited.reserve(num_keys);
   for (int s = 0; s < sg.num_states(); ++s) {
-    // Signal ascending, rise before fall.
-    excited.clear();
+    // The rule orders only two excited signals whose classes lie at least
+    // `required` apart, so a state whose excited signals span no such pair
+    // emits nothing and is skipped.
     const std::uint64_t rise = sg.excited_rise_mask(s);
     const std::uint64_t fall = sg.excited_fall_mask(s);
+    int fastest = 3, slowest = -1;
+    for (int c = 0; c < 3; ++c) {
+      if (!((rise | fall) & class_signals[c])) continue;
+      fastest = std::min(fastest, c);
+      slowest = c;
+    }
+    if (slowest - fastest < required || std::popcount(rise | fall) < 2)
+      continue;
+    // Signal ascending, rise before fall.
+    excited.clear();
     for (std::uint64_t live = rise | fall; live != 0; live &= live - 1) {
       const int sig = std::countr_zero(live);
       if (rise >> sig & 1) excited.push_back(Edge{sig, Polarity::kRise});

@@ -4,6 +4,13 @@ namespace rtcad {
 
 namespace {
 
+bool has_silent_transition(const Stg& stg) {
+  for (int t = 0; t < stg.num_transitions(); ++t) {
+    if (stg.transition(t).is_silent()) return true;
+  }
+  return false;
+}
+
 // Per-state "has a silent out-edge" bitmap, one O(edges) pass over the CSR.
 // keep_edge needs this per call; scanning the state's out-edges inside the
 // callback turned reduce into O(edges × degree) on ε-heavy graphs. Specs
@@ -11,10 +18,7 @@ namespace {
 std::vector<char> silent_out_map(const StateGraph& sg) {
   std::vector<char> out(static_cast<std::size_t>(sg.num_states()), 0);
   const Stg& stg = sg.stg();
-  bool any_silent = false;
-  for (int t = 0; t < stg.num_transitions() && !any_silent; ++t)
-    any_silent = stg.transition(t).is_silent();
-  if (!any_silent) return out;
+  if (!has_silent_transition(stg)) return out;
   sg.for_each_edge([&](int from, int transition, int /*to*/) {
     if (stg.transition(transition).is_silent())
       out[static_cast<std::size_t>(from)] = 1;
@@ -27,6 +31,11 @@ std::vector<char> silent_out_map(const StateGraph& sg) {
 ReduceResult reduce(const StateGraph& sg,
                     const std::vector<RtAssumption>& assumptions) {
   const Stg& stg = sg.stg();
+  // With no assumption and no silent transition keep_edge holds on every
+  // edge, so the reduction drops nothing: share the input graph's arrays
+  // instead of rebuilding an identical copy of them.
+  if (assumptions.empty() && !has_silent_transition(stg))
+    return ReduceResult{sg.filtered_keep_all(), {}, 0, 0, 0};
 
   std::vector<bool> used(assumptions.size(), false);
   const std::vector<char> silent_out = silent_out_map(sg);

@@ -25,6 +25,11 @@ struct ReduceResult {
   int deadlocked_states = 0;
 };
 
+/// With no assumption and no silent transition in the specification
+/// nothing can be dropped: the result is then the input graph, returned in
+/// O(1) as StateGraph::filtered_keep_all() (the arrays shared, no level
+/// sizes, old_state_of unchanged), with nothing removed, used or
+/// deadlocked.
 ReduceResult reduce(const StateGraph& sg,
                     const std::vector<RtAssumption>& assumptions);
 

@@ -1,15 +1,55 @@
 #include "sg/analysis.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace rtcad {
 
 SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported) {
   const Stg& stg = sg.stg();
+  const int n = sg.num_states();
   SgAnalysis out;
 
   // --- output persistency --------------------------------------------
-  for (int s = 0; s < sg.num_states(); ++s) {
+  // A screen first: the rise and fall masks of the state's non-input
+  // out-edges, minus the signal of the edge that fires, must stay excited
+  // at that edge's successor. A state fails the screen exactly when it
+  // holds a violation, so only those states run the pairwise loop, which
+  // reports in state order, then out-edge order.
+  struct TransitionMasks {
+    std::uint64_t rise = 0, fall = 0;          // its non-input edge's bit
+    std::uint64_t others = ~std::uint64_t{0};  // every signal but its own
+  };
+  std::vector<TransitionMasks> masks(
+      static_cast<std::size_t>(stg.num_transitions()));
+  for (int t = 0; t < stg.num_transitions(); ++t) {
+    const auto& label = stg.transition(t).label;
+    if (!label) continue;
+    const std::uint64_t bit = std::uint64_t{1} << label->signal;
+    masks[t].others = ~bit;
+    if (stg.is_input(label->signal)) continue;
+    if (label->pol == Polarity::kRise)
+      masks[t].rise = bit;
+    else
+      masks[t].fall = bit;
+  }
+  for (int s = 0; s < n; ++s) {
+    std::uint64_t rise = 0, fall = 0;
+    for (const auto& [t, to] : sg.out_edges(s)) {
+      rise |= masks[t].rise;
+      fall |= masks[t].fall;
+    }
+    if ((rise | fall) == 0) continue;
+    bool passes = true;
+    for (const auto& [t2, to2] : sg.out_edges(s)) {
+      if (((rise & ~sg.excited_rise_mask(to2)) |
+           (fall & ~sg.excited_fall_mask(to2))) &
+          masks[t2].others) {
+        passes = false;
+        break;
+      }
+    }
+    if (passes) continue;
     for (const auto& [t, to] : sg.out_edges(s)) {
       const auto& label = stg.transition(t).label;
       if (!label) continue;
@@ -29,53 +69,95 @@ SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported) {
 
   // --- complete state coding -------------------------------------------
   // Within a code class, all states must agree on the next-state target of
-  // every non-input signal. One sort of (code, target signature, state)
-  // keys lays the classes out in code order and, inside each, the distinct
-  // signatures in ascending order, each led by its lowest state.
+  // every non-input signal. A stable LSD radix sort of the state ids keyed
+  // on the code lays the classes out in code order, each in ascending state
+  // order. A digit is at most as many bits as the state count has, so the
+  // bucket counts take no more room than the ids, and codes no wider than
+  // that (pipeline19's 20 bits) sort in one pass. Bits equal in every code
+  // order nothing and are left out.
   std::uint64_t noninput_mask = 0;
   for (int sig = 0; sig < stg.num_signals(); ++sig) {
     if (!stg.is_input(sig)) noninput_mask |= std::uint64_t{1} << sig;
   }
+  std::uint64_t any = 0, all = ~std::uint64_t{0};
+  for (int s = 0; s < n; ++s) {
+    any |= sg.code(s);
+    all &= sg.code(s);
+  }
+  const int key_bits = std::bit_width(any & ~all);
+  const int passes =
+      key_bits == 0
+          ? 0
+          : (key_bits + std::bit_width(static_cast<unsigned>(n)) - 1) /
+                std::bit_width(static_cast<unsigned>(n));
+  const int digit_bits = passes == 0 ? 0 : (key_bits + passes - 1) / passes;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
+  // One buffer: the ids, the scatter target, the bucket counts.
+  std::vector<std::uint32_t> buffer(2 * static_cast<std::size_t>(n) + buckets);
+  std::uint32_t* ids = buffer.data();
+  std::uint32_t* scatter = ids + n;
+  std::uint32_t* count = scatter + n;
+  for (int s = 0; s < n; ++s) ids[s] = static_cast<std::uint32_t>(s);
+  for (int shift = 0; shift < key_bits; shift += digit_bits) {
+    const auto digit = [&](std::uint32_t s) {
+      return static_cast<std::size_t>(sg.code(static_cast<int>(s)) >> shift) &
+             (buckets - 1);
+    };
+    std::fill_n(count, buckets, 0);
+    for (int i = 0; i < n; ++i) ++count[digit(ids[i])];
+    std::uint32_t sum = 0;
+    for (std::size_t d = 0; d < buckets; ++d) {
+      const std::uint32_t c = count[d];
+      count[d] = sum;
+      sum += c;
+    }
+    for (int i = 0; i < n; ++i) scatter[count[digit(ids[i])]++] = ids[i];
+    std::swap(ids, scatter);
+  }
 
-  struct Key {
-    std::uint64_t code;
-    std::uint64_t signature;
-    int state;
-  };
-  std::vector<Key> keys(static_cast<std::size_t>(sg.num_states()));
-  for (int s = 0; s < sg.num_states(); ++s) {
+  // Inside a class of two or more states, sort by (target signature,
+  // state), so the distinct signatures come in ascending order, each led
+  // by its lowest state, and move those leaders to the front of the class.
+  const auto signature = [&](std::uint32_t state) {
     // target_value() of every signal at once: a rising edge heads to 1, a
     // falling one to 0, a stable signal stays at its value.
+    const int s = static_cast<int>(state);
     const std::uint64_t code = sg.code(s);
-    const std::uint64_t target =
-        sg.excited_rise_mask(s) | (code & ~sg.excited_fall_mask(s));
-    keys[s] = Key{code, target & noninput_mask, s};
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.code != b.code) return a.code < b.code;
-    if (a.signature != b.signature) return a.signature < b.signature;
-    return a.state < b.state;
-  });
-
-  std::vector<const Key*> firsts;  // one per distinct signature in a class
-  for (std::size_t begin = 0, end; begin < keys.size(); begin = end) {
-    end = begin + 1;
-    while (end < keys.size() && keys[end].code == keys[begin].code) ++end;
-    if (end - begin < 2) continue;
-    ++out.usc_classes;
-    if (out.csc_conflicts.size() >= max_reported) continue;
-    firsts.clear();
-    for (std::size_t i = begin; i < end; ++i) {
-      if (i == begin || keys[i].signature != keys[i - 1].signature)
-        firsts.push_back(&keys[i]);
-    }
-    // Report a conflict between each pair of distinct signatures.
-    for (std::size_t a = 0; a < firsts.size(); ++a) {
-      for (std::size_t b = a + 1; b < firsts.size(); ++b) {
-        if (out.csc_conflicts.size() >= max_reported) break;
-        out.csc_conflicts.push_back(
-            {firsts[a]->state, firsts[b]->state,
-             firsts[a]->signature ^ firsts[b]->signature});
+    return (sg.excited_rise_mask(s) | (code & ~sg.excited_fall_mask(s))) &
+           noninput_mask;
+  };
+  // Equal codes share a bucket of the last pass, and count[] now holds
+  // each bucket's end, so only buckets of two or more ids are walked.
+  if (passes == 0) count[0] = static_cast<std::uint32_t>(n);
+  for (std::size_t d = 0, bucket = 0; d < buckets; bucket = count[d++]) {
+    const int bucket_end = static_cast<int>(count[d]);
+    if (bucket_end - static_cast<int>(bucket) < 2) continue;
+    for (int begin = static_cast<int>(bucket), end; begin < bucket_end;
+         begin = end) {
+      const std::uint64_t code = sg.code(static_cast<int>(ids[begin]));
+      end = begin + 1;
+      while (end < bucket_end && sg.code(static_cast<int>(ids[end])) == code)
+        ++end;
+      if (end - begin < 2) continue;
+      ++out.usc_classes;
+      if (out.csc_conflicts.size() >= max_reported) continue;
+      std::sort(ids + begin, ids + end, [&](std::uint32_t a, std::uint32_t b) {
+        const std::uint64_t sa = signature(a), sb = signature(b);
+        return sa != sb ? sa < sb : a < b;
+      });
+      int leaders = begin + 1;
+      for (int i = begin + 1; i < end; ++i) {
+        if (signature(ids[i]) != signature(ids[leaders - 1]))
+          ids[leaders++] = ids[i];
+      }
+      // Report a conflict between each pair of distinct signatures.
+      for (int a = begin; a < leaders; ++a) {
+        for (int b = a + 1; b < leaders; ++b) {
+          if (out.csc_conflicts.size() >= max_reported) break;
+          out.csc_conflicts.push_back(
+              {static_cast<int>(ids[a]), static_cast<int>(ids[b]),
+               signature(ids[a]) ^ signature(ids[b])});
+        }
       }
     }
   }

@@ -45,6 +45,20 @@ struct SgAnalysis {
   bool has_csc() const { return csc_conflicts.empty(); }
 };
 
+/// Both checks run on word masks, O(states + edges) overall.
+///
+/// Persistency: each state's non-input out-edge labels, as a rise and a
+/// fall mask, are tested against every successor's excitation masks, minus
+/// the signal that fired. A state fails that screen exactly when it holds
+/// a violation, and only such a state runs the pairwise edge loop that
+/// reports.
+///
+/// CSC: a stable LSD radix sort of the state ids keyed on the code groups
+/// the code classes, with digits of at most bit_width(states) bits (one
+/// pass when the codes vary in no more bits than that, several for wide
+/// codes). Only classes of two or more states are then sorted by (target
+/// signature, state). Scratch: two id arrays and at most 2 × states bucket
+/// counts, 4 bytes each.
 SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported = 1000);
 
 /// Render one conflict for logs/tests.

@@ -19,11 +19,12 @@ constexpr int kMinParallelEdges = 1 << 15;
 // A state is the packed pair (marking, code); during exploration the code is
 // carried as a switching-parity word determined by the marking (two paths
 // reaching one marking with different parities is the consistency error, not
-// two distinct states), so the table keys on the marking and the per-state
-// parity array completes the packed key. Slots hold (hash, state id); the
-// marking bytes themselves live once in the graph's MarkingArena (slot ==
-// state id during a build), so probing compares a cached 64-bit hash first
-// and memcmps one arena row only on a hash hit. This replaces the seed's
+// two distinct states), so the table keys on the marking, and the parity a
+// state keeps in its code field until build() applies v0 completes the
+// packed key. Slots hold (hash, state id); the marking bytes themselves
+// live once in the graph's MarkingArena (slot == state id during a build),
+// so probing compares a cached 64-bit hash first and memcmps one arena row
+// only on a hash hit. This replaces the seed's
 // std::unordered_map<Marking, int>, whose node allocation per insert and
 // pointer chase per probe dominated build time on large specs.
 class VisitedTable {
@@ -201,13 +202,12 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // scratch on byte rows. Both explorations fire the same transitions in
   // the same order up to that firing, so the graph and any error are the
   // same either way.
-  std::vector<std::uint64_t> parity;
   std::vector<signed char> v0;
   bool one_safe = true;
   for (int p = 0; p < stg.num_places(); ++p)
     one_safe = one_safe && stg.place(p).initial_tokens <= 1;
-  if (!one_safe || !sg.explore<BitGame>(opts, &parity, &v0))
-    sg.explore<ByteGame>(opts, &parity, &v0);
+  if (!one_safe || !sg.explore<BitGame>(opts, &v0))
+    sg.explore<ByteGame>(opts, &v0);
 
   // Signals with an explicitly declared initial value win over inference
   // only when inference produced no constraint.
@@ -217,9 +217,8 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
       v0_value |= std::uint64_t{1} << s;
   }
 
-  // Phase 2: final codes.
-  for (std::size_t i = 0; i < sg.states_.size(); ++i)
-    sg.states_[i].code = v0_value ^ parity[i];
+  // Phase 2: final codes (exploration left each state's parity there).
+  for (SgState& state : sg.arrays_->states) state.code ^= v0_value;
 
   sg.rebuild_reverse_csr();
   sg.recompute_excitation(sg.num_edges() >= kMinParallelEdges ? opts.threads
@@ -229,21 +228,23 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
 
 template <typename Game>
 bool StateGraph::explore(const SgOptions& opts,
-                         std::vector<std::uint64_t>* parity_out,
                          std::vector<signed char>* v0_out) {
   using Word = typename Game::Word;
   const Stg& stg = stg_;
-  std::vector<std::uint64_t>& parity = *parity_out;
   arena_ = std::make_shared<MarkingArena>(stg.num_places(), Game::kFormat);
   MarkingArena& arena = *arena_;
   const Game game(stg, arena);
   const std::size_t stride = static_cast<std::size_t>(arena.stride());
-  states_.clear();
-  out_row_.clear();
-  edge_transition_.clear();
-  edge_successor_.clear();
+  // A state's code holds its switching parity until build() applies v0.
+  std::vector<SgState>& states = arrays_->states;
+  std::vector<int>& out_row = arrays_->out_row;
+  std::vector<int>& edge_transition = arrays_->edge_transition;
+  std::vector<int>& edge_successor = arrays_->edge_successor;
+  states.clear();
+  out_row.clear();
+  edge_transition.clear();
+  edge_successor.clear();
   level_sizes_.clear();
-  parity.clear();
   v0_out->assign(64, -1);  // -1 unknown, else 0/1
 
   // Scratch rows reused across the whole exploration: the state being
@@ -255,8 +256,7 @@ bool StateGraph::explore(const SgOptions& opts,
 
   VisitedTable index;
   arena.encode(stg.initial_marking(), next_bytes);
-  states_.push_back(SgState{0, arena.append(next_bytes)});
-  parity.push_back(0);
+  states.push_back(SgState{0, arena.append(next_bytes)});
   {
     const auto seeded = index.find_or_insert(
         next_bytes, marking_hash(next_bytes, stride), 0, arena);
@@ -273,85 +273,93 @@ bool StateGraph::explore(const SgOptions& opts,
   if (opts.cancel) opts.cancel->check("state-graph build");
 
   const int num_transitions = stg.num_transitions();
-  for (int si = 0; si < static_cast<int>(states_.size()); ++si) {
+  for (int si = 0; si < static_cast<int>(states.size()); ++si) {
     if (static_cast<std::size_t>(si) == level_boundary) {
       level_sizes_.push_back(static_cast<int>(level_boundary - level_begin));
       level_begin = level_boundary;
-      level_boundary = states_.size();
+      level_boundary = states.size();
       if (opts.cancel) opts.cancel->check("state-graph build");
     }
-    out_row_.push_back(static_cast<int>(edge_transition_.size()));
-    std::copy_n(arena.row(states_[si].slot), stride,
+    out_row.push_back(static_cast<int>(edge_transition.size()));
+    std::copy_n(arena.row(states[si].slot), stride,
                 reinterpret_cast<std::uint8_t*>(row.data()));
-    const std::uint64_t par = parity[si];
+    const std::uint64_t par = states[si].code;
 
     for (int t = 0; t < num_transitions; ++t) {
       if (!game.enabled(row.data(), t)) continue;
       const std::uint64_t next_par = apply_edge_parity(stg, t, par, v0_out);
       if (!game.fire(row.data(), t, next.data())) return false;
-      const int candidate_id = static_cast<int>(states_.size());
+      const int candidate_id = static_cast<int>(states.size());
       const auto insertion =
           index.find_or_insert(next_bytes, marking_hash(next_bytes, stride),
                                candidate_id, arena);
       const int succ_id = insertion.first;
       if (insertion.second) {
-        if (states_.size() >= opts.max_states)
+        if (states.size() >= opts.max_states)
           throw SpecError("state graph of '" + stg.name() + "' exceeds " +
                           std::to_string(opts.max_states) + " states");
-        states_.push_back(SgState{0, arena.append(next_bytes)});
-        parity.push_back(next_par);
-      } else if (parity[succ_id] != next_par) {
+        states.push_back(SgState{next_par, arena.append(next_bytes)});
+      } else if (states[succ_id].code != next_par) {
         throw SpecError("STG '" + stg.name() +
                         "' is inconsistent: switching parity differs "
                         "between paths to the same marking");
       }
-      edge_transition_.push_back(t);
-      edge_successor_.push_back(succ_id);
+      edge_transition.push_back(t);
+      edge_successor.push_back(succ_id);
     }
   }
-  out_row_.push_back(static_cast<int>(edge_transition_.size()));
-  level_sizes_.push_back(static_cast<int>(states_.size() - level_begin));
+  out_row.push_back(static_cast<int>(edge_transition.size()));
+  level_sizes_.push_back(static_cast<int>(states.size() - level_begin));
   return true;
 }
 
+StateGraph::Arrays& StateGraph::own_arrays() {
+  if (arrays_.use_count() > 1) arrays_ = std::make_shared<Arrays>(*arrays_);
+  return *arrays_;
+}
+
 void StateGraph::rebuild_reverse_csr(int /*threads*/) {
+  Arrays& a = own_arrays();
   const int n = num_states();
   const int m = num_edges();
-  in_row_.assign(n + 1, 0);
-  in_transition_.resize(m);
-  in_source_.resize(m);
+  a.in_row.assign(n + 1, 0);
+  a.in_transition.resize(m);
+  a.in_source.resize(m);
 
   // Transpose by counting sort: one pass to count in-degrees, a prefix sum,
   // one pass to scatter. Entries for a given target state keep CSR order of
   // their sources, so the transpose is deterministic.
-  for (int e = 0; e < m; ++e) ++in_row_[edge_successor_[e] + 1];
-  for (int s = 0; s < n; ++s) in_row_[s + 1] += in_row_[s];
-  std::vector<int> cursor(in_row_.begin(), in_row_.end() - 1);
+  for (int e = 0; e < m; ++e) ++a.in_row[a.edge_successor[e] + 1];
+  for (int s = 0; s < n; ++s) a.in_row[s + 1] += a.in_row[s];
+  std::vector<int> cursor(a.in_row.begin(), a.in_row.end() - 1);
   for (int s = 0; s < n; ++s) {
-    for (int e = out_row_[s]; e < out_row_[s + 1]; ++e) {
-      const int slot = cursor[edge_successor_[e]]++;
-      in_transition_[slot] = edge_transition_[e];
-      in_source_[slot] = s;
+    for (int e = a.out_row[s]; e < a.out_row[s + 1]; ++e) {
+      const int slot = cursor[a.edge_successor[e]]++;
+      a.in_transition[slot] = a.edge_transition[e];
+      a.in_source[slot] = s;
     }
   }
 }
 
 void StateGraph::recompute_excitation(int threads) {
+  Arrays& a = own_arrays();
   const int n = num_states();
-  excited_rise_.assign(n, 0);
-  excited_fall_.assign(n, 0);
+  std::vector<std::uint64_t>& excited_rise = a.excited_rise;
+  std::vector<std::uint64_t>& excited_fall = a.excited_fall;
+  excited_rise.assign(n, 0);
+  excited_fall.assign(n, 0);
   // Direct enablement: a linear sweep over the flat edge array. Each state
   // writes only its own masks, so the chunked parallel sweep is trivially
   // deterministic.
   const auto direct_sweep = [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
-      for (int e = out_row_[s]; e < out_row_[s + 1]; ++e) {
-        if (const auto& label = stg_.transition(edge_transition_[e]).label) {
+      for (int e = a.out_row[s]; e < a.out_row[s + 1]; ++e) {
+        if (const auto& label = stg_.transition(a.edge_transition[e]).label) {
           const std::uint64_t bit = std::uint64_t{1} << label->signal;
           if (label->pol == Polarity::kRise)
-            excited_rise_[s] |= bit;
+            excited_rise[s] |= bit;
           else
-            excited_fall_[s] |= bit;
+            excited_fall[s] |= bit;
         }
       }
     }
@@ -390,14 +398,14 @@ void StateGraph::recompute_excitation(int threads) {
     const int s = worklist.back();
     worklist.pop_back();
     queued[s] = 0;
-    for (int e = in_row_[s]; e < in_row_[s + 1]; ++e) {
-      if (!stg_.transition(in_transition_[e]).is_silent()) continue;
-      const int p = in_source_[e];
-      const std::uint64_t nr = excited_rise_[p] | excited_rise_[s];
-      const std::uint64_t nf = excited_fall_[p] | excited_fall_[s];
-      if (nr != excited_rise_[p] || nf != excited_fall_[p]) {
-        excited_rise_[p] = nr;
-        excited_fall_[p] = nf;
+    for (int e = a.in_row[s]; e < a.in_row[s + 1]; ++e) {
+      if (!stg_.transition(a.in_transition[e]).is_silent()) continue;
+      const int p = a.in_source[e];
+      const std::uint64_t nr = excited_rise[p] | excited_rise[s];
+      const std::uint64_t nf = excited_fall[p] | excited_fall[s];
+      if (nr != excited_rise[p] || nf != excited_fall[p]) {
+        excited_rise[p] = nr;
+        excited_fall[p] = nf;
         if (!queued[p]) {
           queued[p] = 1;
           worklist.push_back(p);
@@ -422,34 +430,42 @@ StateGraph StateGraph::filtered(
   // re-exploration, no hashing) and calls `keep_edge` exactly once per
   // edge of a surviving state. Successors are recorded as old ids and
   // remapped in one sweep once every new id is known.
-  std::vector<int> new_id(states_.size(), -1);
+  const Arrays& src = *arrays_;
+  Arrays& dst = *out.arrays_;
+  std::vector<int> new_id(src.states.size(), -1);
   std::vector<int> order;  // new id -> old id, in BFS discovery order
   order.push_back(0);
   new_id[0] = 0;
-  out.out_row_.push_back(0);
+  dst.out_row.push_back(0);
   for (std::size_t qi = 0; qi < order.size(); ++qi) {
     const int old_s = order[qi];
-    for (int e = out_row_[old_s]; e < out_row_[old_s + 1]; ++e) {
-      if (!keep_edge(old_s, edge_transition_[e])) continue;
-      const int to = edge_successor_[e];
+    for (int e = src.out_row[old_s]; e < src.out_row[old_s + 1]; ++e) {
+      if (!keep_edge(old_s, src.edge_transition[e])) continue;
+      const int to = src.edge_successor[e];
       if (new_id[to] < 0) {
         new_id[to] = static_cast<int>(order.size());
         order.push_back(to);
       }
-      out.edge_transition_.push_back(edge_transition_[e]);
-      out.edge_successor_.push_back(to);
+      dst.edge_transition.push_back(src.edge_transition[e]);
+      dst.edge_successor.push_back(to);
     }
-    out.out_row_.push_back(static_cast<int>(out.edge_transition_.size()));
+    dst.out_row.push_back(static_cast<int>(dst.edge_transition.size()));
   }
-  for (int& to : out.edge_successor_) to = new_id[to];
-  out.states_.reserve(order.size());
-  out.old_state_.reserve(order.size());
+  for (int& to : dst.edge_successor) to = new_id[to];
+  dst.states.reserve(order.size());
+  dst.old_state.reserve(order.size());
   for (const int old_s : order) {
-    out.states_.push_back(states_[old_s]);
-    out.old_state_.push_back(old_state_of(old_s));
+    dst.states.push_back(src.states[old_s]);
+    dst.old_state.push_back(old_state_of(old_s));
   }
   out.rebuild_reverse_csr();
   out.recompute_excitation();
+  return out;
+}
+
+StateGraph StateGraph::filtered_keep_all() const {
+  StateGraph out = *this;
+  out.level_sizes_ = {};
   return out;
 }
 

@@ -8,13 +8,19 @@
 // is checked during construction.
 //
 // Adjacency lives in shared CSR (compressed sparse row) arrays, not in the
-// states: `out_row_[s] .. out_row_[s+1]` indexes the flat
-// `edge_transition_[]` / `edge_successor_[]` pair for the out-edges of
-// state s, and a derived transpose (`in_row_` / `in_transition_` /
-// `in_source_`) gives predecessors. Every downstream pass — excitation
+// states: `out_row[s] .. out_row[s+1]` indexes the flat
+// `edge_transition[]` / `edge_successor[]` pair for the out-edges of
+// state s, and a derived transpose (`in_row` / `in_transition` /
+// `in_source`) gives predecessors. Every downstream pass — excitation
 // closure, RT concurrency reduction, conformance, synthesis — is an edge
 // traversal, so the flat layout removes the per-state vector allocation
 // and pointer chase the seed representation paid on each of them.
+//
+// The state, CSR and excitation arrays sit in one block that copies of a
+// graph share, the way graphs share their MarkingArena: copying a
+// StateGraph costs nothing per state or edge. The two public mutators
+// (rebuild_reverse_csr, recompute_excitation) copy the block first when
+// another graph holds it, so no graph ever sees another one's writes.
 #pragma once
 
 #include <algorithm>
@@ -116,47 +122,56 @@ class StateGraph {
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }
-  int num_states() const { return static_cast<int>(states_.size()); }
+  int num_states() const { return static_cast<int>(arrays_->states.size()); }
   int initial_state() const { return 0; }
 
   /// Marking of state `i`, decoded from its arena row into token counts.
   /// For cold paths (tests, diagnostics).
-  Marking marking_copy(int i) const { return arena_->copy(states_[i].slot); }
-  std::uint64_t code(int i) const { return states_[i].code; }
+  Marking marking_copy(int i) const {
+    return arena_->copy(arrays_->states[i].slot);
+  }
+  std::uint64_t code(int i) const { return arrays_->states[i].code; }
   bool value(int state, int signal) const {
-    return (states_[state].code >> signal) & 1;
+    return (code(state) >> signal) & 1;
   }
   /// Initial value of every signal, as inferred (bit per signal).
-  std::uint64_t initial_code() const { return states_[0].code; }
+  std::uint64_t initial_code() const { return code(0); }
 
-  int num_edges() const { return static_cast<int>(edge_transition_.size()); }
+  int num_edges() const {
+    return static_cast<int>(arrays_->edge_transition.size());
+  }
 
   /// Out-edges of `state` as (transition, successor) pairs:
   ///   for (const auto& [t, to] : sg.out_edges(s)) ...
   EdgeRange out_edges(int state) const {
-    const int b = out_row_[state];
-    return EdgeRange(edge_transition_.data() + b, edge_successor_.data() + b,
-                     out_row_[state + 1] - b);
+    const Arrays& a = *arrays_;
+    const int b = a.out_row[state];
+    return EdgeRange(a.edge_transition.data() + b,
+                     a.edge_successor.data() + b, a.out_row[state + 1] - b);
   }
   int out_degree(int state) const {
-    return out_row_[state + 1] - out_row_[state];
+    return arrays_->out_row[state + 1] - arrays_->out_row[state];
   }
 
   /// In-edges of `state` as (transition, predecessor) pairs — the exact
   /// transpose of the forward CSR, derived once at construction.
   EdgeRange in_edges(int state) const {
-    const int b = in_row_[state];
-    return EdgeRange(in_transition_.data() + b, in_source_.data() + b,
-                     in_row_[state + 1] - b);
+    const Arrays& a = *arrays_;
+    const int b = a.in_row[state];
+    return EdgeRange(a.in_transition.data() + b, a.in_source.data() + b,
+                     a.in_row[state + 1] - b);
   }
-  int in_degree(int state) const { return in_row_[state + 1] - in_row_[state]; }
+  int in_degree(int state) const {
+    return arrays_->in_row[state + 1] - arrays_->in_row[state];
+  }
 
   /// Visit every edge as f(from, transition, to), in CSR order.
   template <typename F>
   void for_each_edge(F&& f) const {
+    const Arrays& a = *arrays_;
     for (int s = 0; s < num_states(); ++s) {
-      for (int e = out_row_[s]; e < out_row_[s + 1]; ++e)
-        f(s, edge_transition_[e], edge_successor_[e]);
+      for (int e = a.out_row[s]; e < a.out_row[s + 1]; ++e)
+        f(s, a.edge_transition[e], a.edge_successor[e]);
     }
   }
 
@@ -172,17 +187,17 @@ class StateGraph {
   /// Returned lazily as the precomputed silent-closure excitation bitmasks:
   /// excited_rise(s, sig) / excited_fall(s, sig).
   bool excited(int state, const Edge& e) const {
-    const auto& m =
-        e.pol == Polarity::kRise ? excited_rise_ : excited_fall_;
+    const auto& m = e.pol == Polarity::kRise ? arrays_->excited_rise
+                                             : arrays_->excited_fall;
     return (m[state] >> e.signal) & 1;
   }
   /// Whole excitation masks (bit per signal) — differential tests compare
   /// the parallel excitation sweep against the sequential one with these.
   std::uint64_t excited_rise_mask(int state) const {
-    return excited_rise_[state];
+    return arrays_->excited_rise[state];
   }
   std::uint64_t excited_fall_mask(int state) const {
-    return excited_fall_[state];
+    return arrays_->excited_fall[state];
   }
 
   /// Next-state function target: the value signal `sig` is heading to at
@@ -204,8 +219,14 @@ class StateGraph {
   StateGraph filtered(
       const std::function<bool(int state, int transition)>& keep_edge) const;
   int old_state_of(int state) const {
-    return old_state_.empty() ? state : old_state_[state];
+    return arrays_->old_state.empty() ? state : arrays_->old_state[state];
   }
+  /// What filtered() returns when `keep_edge` holds on every edge, in
+  /// O(1): the same ids, codes, edges and old_state_of map (build() and
+  /// filtered() both number states in BFS discovery order, so keeping
+  /// every edge renumbers nothing), no level sizes, and this graph's
+  /// arrays shared rather than copied.
+  StateGraph filtered_keep_all() const;
 
   /// BFS level sizes from construction: level_sizes()[d] states at distance
   /// d from the initial state. Empty for graphs produced by filtered().
@@ -225,17 +246,19 @@ class StateGraph {
   /// shared root arena's bytes — that is what actually stays resident.
   std::size_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
   std::size_t csr_bytes() const {
-    return (out_row_.size() + edge_transition_.size() +
-            edge_successor_.size() + in_row_.size() + in_transition_.size() +
-            in_source_.size()) *
+    const Arrays& a = *arrays_;
+    return (a.out_row.size() + a.edge_transition.size() +
+            a.edge_successor.size() + a.in_row.size() +
+            a.in_transition.size() + a.in_source.size()) *
                sizeof(int) +
-           (excited_rise_.size() + excited_fall_.size()) *
+           (a.excited_rise.size() + a.excited_fall.size()) *
                sizeof(std::uint64_t);
   }
 
   /// Recompute the derived structures in place — build() and filtered()
   /// run both; public so benches and differential tests can time and
-  /// cross-check the passes in isolation.
+  /// cross-check the passes in isolation. A graph whose arrays another
+  /// graph shares copies them first, so the other graph is not written.
   ///
   /// The transpose is a sequential counting sort; `threads` is ignored and
   /// kept only because perfbench's layer suite passes a width.
@@ -249,31 +272,41 @@ class StateGraph {
   void recompute_excitation(int threads = 1);
 
  private:
+  /// Everything sized by the state or edge count, in one block that copies
+  /// of the graph share.
+  struct Arrays {
+    std::vector<SgState> states;
+    std::vector<int> old_state;  ///< for filtered graphs: new id -> original
+    // Forward CSR: out-edges of state s are entries out_row[s]..out_row[s+1]
+    // of the parallel transition/successor arrays.
+    std::vector<int> out_row;
+    std::vector<int> edge_transition;
+    std::vector<int> edge_successor;
+    // Reverse CSR (transpose): in-edges of state s, same parallel layout.
+    std::vector<int> in_row;
+    std::vector<int> in_transition;
+    std::vector<int> in_source;
+    /// Per-state bitmask over signals: some s+/s- enabled here or reachable
+    /// through silent transitions alone.
+    std::vector<std::uint64_t> excited_rise, excited_fall;
+  };
+
+  /// The arrays, copied first if another graph shares them — the one way
+  /// the mutators reach them.
+  Arrays& own_arrays();
+
   Stg stg_;
   std::shared_ptr<MarkingArena> arena_;
-  std::vector<SgState> states_;
-  std::vector<int> old_state_;  ///< for filtered graphs: new id -> original
-  // Forward CSR: out-edges of state s are entries out_row_[s]..out_row_[s+1]
-  // of the parallel transition/successor arrays.
-  std::vector<int> out_row_;
-  std::vector<int> edge_transition_;
-  std::vector<int> edge_successor_;
-  // Reverse CSR (transpose): in-edges of state s, same parallel layout.
-  std::vector<int> in_row_;
-  std::vector<int> in_transition_;
-  std::vector<int> in_source_;
-  /// Per-state bitmask over signals: some s+/s- enabled here or reachable
-  /// through silent transitions alone.
-  std::vector<std::uint64_t> excited_rise_, excited_fall_;
+  std::shared_ptr<Arrays> arrays_ = std::make_shared<Arrays>();
   std::vector<int> level_sizes_;  ///< BFS frontier size per level (build only)
 
   // Exploration phase of build() on a fresh arena in the row format of
-  // `Game`: fill states_/out CSR/level_sizes_ and the per-state switching
-  // parities; v0 accumulates initial-value constraints. Returns false when
-  // a firing leaves the row format (build() then starts over on byte rows).
+  // `Game`: fill the states, the out CSR and level_sizes_, with each
+  // state's switching parity standing in its code; v0 accumulates
+  // initial-value constraints. Returns false when a firing leaves the row
+  // format (build() then starts over on byte rows).
   template <typename Game>
-  bool explore(const SgOptions& opts, std::vector<std::uint64_t>* parity,
-               std::vector<signed char>* v0);
+  bool explore(const SgOptions& opts, std::vector<signed char>* v0);
 };
 
 /// Full structural equality through the public API: states (marking, code),

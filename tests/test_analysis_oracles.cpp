@@ -1,17 +1,25 @@
 // Differential tests of two state-graph passes against the straightforward
 // versions they replaced, kept here as reference implementations:
 //
-//  * analyze() groups code classes with one sort of (code, target
-//    signature, state) keys; the reference keeps a hash map of classes and
-//    an ordered map of signatures per class, and computes each signature
-//    signal by signal through target_value().
-//  * The delay-class rule of generate_assumptions() walks each state's
+//  * analyze() screens each state's persistency on word masks before the
+//    pairwise loop, and groups code classes with a radix sort of state ids
+//    keyed on the code; the reference runs the pairwise loop everywhere,
+//    keeps a hash map of classes and an ordered map of signatures per
+//    class, and computes each signature signal by signal through
+//    target_value().
+//  * The delay-class rule of generate_assumptions() skips states whose
+//    excited signals span no wide enough class gap and walks the others'
 //    excitation masks into one reused buffer; the reference asks excited()
-//    about every signal edge and builds the rationale before deduplicating.
+//    about every signal edge of every state and builds the rationale before
+//    deduplicating.
 //
 // Both must agree on the spec corpus, on every buildable seeded random
 // spec, on ring9 (code classes with several members) and on ring18 (1000
-// CSC conflicts, the report cap).
+// CSC conflicts, the report cap). None of those violates persistency, so
+// the corpus runs again with its inputs re-declared as outputs, next to a
+// spec whose input disables an output; pipeline12 (codes dense in their
+// bits) and johnson64 (64-bit codes, several radix digits) cover the sort's
+// extremes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -217,6 +225,56 @@ TEST(AnalysisOracle, CorpusMatchesReference) {
     if (!analyze(sg).has_csc()) ++with_conflicts;
   }
   EXPECT_GT(with_conflicts, 0) << "no corpus spec exercises the CSC half";
+}
+
+/// `stg` with every input re-declared as an output, so that an input
+/// disabled by another firing counts as a persistency violation.
+Stg inputs_as_outputs(Stg stg) {
+  for (int sig = 0; sig < stg.num_signals(); ++sig) {
+    if (stg.is_input(sig)) stg.signal(sig).kind = SignalKind::kOutput;
+  }
+  return stg;
+}
+
+/// An input (b+) can steal the token that enables output y+, so firing b+
+/// disables an excited output.
+constexpr const char* kRaceSpec = R"(
+.model race
+.inputs a b
+.outputs y
+.graph
+a+ p
+p y+ b+
+y+ a-/1
+b+ a-/2
+a-/1 y-
+a-/2 b-
+y- q
+b- q
+q a+
+.marking { q }
+.end
+)";
+
+TEST(AnalysisOracle, PersistencyViolationsMatchReference) {
+  std::size_t violations = 0;  // as the reference counts them
+  const auto check = [&](const Stg& stg, const std::string& context) {
+    const StateGraph sg = StateGraph::build(stg);
+    expect_same_analysis(sg, context);
+    expect_same_rule1(sg, context);
+    violations += reference_analyze(sg).persistency.size();
+  };
+  for (const std::string& path : corpus_paths()) {
+    check(inputs_as_outputs(parse_stg_file(path)),
+          path + ", inputs as outputs");
+  }
+  check(parse_stg_string(kRaceSpec), "race");
+  EXPECT_GT(violations, 0u) << "no input exercises the persistency screen";
+}
+
+TEST(AnalysisOracle, DenseAndWideCodesMatchReference) {
+  expect_same_analysis(StateGraph::build(pipeline_stg(12)), "pipeline12");
+  expect_same_analysis(StateGraph::build(johnson_stg(64)), "johnson64");
 }
 
 TEST(AnalysisOracle, RandomSpecsMatchReference) {

@@ -47,7 +47,9 @@ TEST(FuzzDeterminism, DerivedPassesSequentialVsParallelEdgeForEdge) {
   // spec. recompute_excitation honors its width even on graphs below
   // build()'s size floor, so this actually drives the chunked sweep across
   // all ~200 machine-generated shapes (including ε-closure tails and
-  // deadlocked states).
+  // deadlocked states). t8 starts as a copy sharing t1's arrays and is then
+  // recomputed, so this relies on the mutator copying a shared block
+  // before it writes; otherwise both sides would read the same masks.
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));

@@ -70,6 +70,37 @@ TEST(Reduce, VacuousAssumptionChangesNothing) {
   EXPECT_EQ(red.deadlocked_states, 0);
 }
 
+TEST(Reduce, NothingToDropIsTheInputGraph) {
+  // pipeline12 has no silent transition, so with no assumption every edge
+  // stays: the reduction is the graph filtered() keeps whole (same ids,
+  // no level sizes), with nothing removed, used or deadlocked.
+  const StateGraph sg = StateGraph::build(pipeline_stg(12));
+  const ReduceResult red = reduce(sg, {});
+  const StateGraph whole = sg.filtered([](int, int) { return true; });
+  EXPECT_TRUE(identical_graphs(red.sg, whole));
+  EXPECT_EQ(red.sg.num_states(), sg.num_states());
+  EXPECT_EQ(red.sg.num_levels(), 0);
+  EXPECT_GT(sg.num_levels(), 0);
+  for (int s = 0; s < red.sg.num_states(); ++s)
+    ASSERT_EQ(red.sg.old_state_of(s), s);
+  EXPECT_EQ(red.edges_removed, 0);
+  EXPECT_EQ(red.states_removed, 0);
+  EXPECT_EQ(red.deadlocked_states, 0);
+  EXPECT_TRUE(red.used.empty());
+}
+
+TEST(Reduce, SilentTransitionsStillPruneWithoutAssumptions) {
+  // fifo has an ε transition: with no assumption the eager-ε rule alone
+  // still drops the observable edges racing it.
+  const StateGraph sg = StateGraph::build(fifo_stg());
+  const ReduceResult red = reduce(sg, {});
+  EXPECT_EQ(sg.num_states(), 40);
+  EXPECT_EQ(red.sg.num_states(), 32);
+  EXPECT_EQ(red.states_removed, 8);
+  EXPECT_EQ(red.edges_removed, 25);
+  EXPECT_TRUE(red.used.empty());
+}
+
 TEST(Reduce, RingAssumptionsPruneAndResolveCsc) {
   const Stg f = fifo_stg();
   const StateGraph sg = StateGraph::build(f);

@@ -1,9 +1,12 @@
 // The serving daemon, driven in-process over a real Unix-domain socket:
 // submit/record byte parity with the batch engine, cache hit/miss
 // behavior, byte-stable cancelled errors for per-request deadlines,
-// control verbs, protocol-error containment, and concurrent submissions.
+// control verbs, protocol-error containment (bounded request lines
+// included), and concurrent submissions.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -13,6 +16,7 @@
 
 #include "flow/flow.hpp"
 #include "flow/json.hpp"
+#include "flow/transport.hpp"
 #include "generated_stgs.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
@@ -247,6 +251,32 @@ TEST_F(ServeTest, SpecSizeMustBeAWholeNumber) {
   expect_rejected(socket(), raw_submit("name c", "-" + std::to_string(size)));
   EXPECT_EQ(service_->stats().protocol_errors, 2);
   EXPECT_EQ(service_->stats().requests, 0);
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+}
+
+TEST_F(ServeTest, OverlongRequestLineIsRejectedAndClosed) {
+  // A megabyte with no newline must not grow the daemon's read buffer
+  // without bound: past SocketReader::kMaxLineBytes it answers with an
+  // error line and closes the connection, and it keeps serving. Without
+  // the bound the daemon waits for the newline and the receive timeout
+  // below expires.
+  start(/*with_cache=*/false);
+  const int fd = connect_endpoint(Endpoint::unix_path(socket()));
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  const std::string banner = "rtflow-serve " + std::to_string(kServeProtocol);
+  ASSERT_TRUE(send_line(fd, banner));
+  const std::string flood(std::size_t{1} << 20, 'x');
+  send_all(fd, flood.data(), flood.size());  // fails once the daemon closes
+  SocketReader in(fd);
+  std::string line;
+  ASSERT_TRUE(in.read_line(&line)) << "no answer within the timeout";
+  EXPECT_EQ(line, banner);
+  ASSERT_TRUE(in.read_line(&line)) << "no answer within the timeout";
+  EXPECT_EQ(line, "error request line longer than 65536 bytes");
+  ::close(fd);
+  EXPECT_EQ(service_->stats().protocol_errors, 1);
   EXPECT_EQ(serve_control(socket(), "ping"), "pong");
 }
 

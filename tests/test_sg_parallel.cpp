@@ -1,14 +1,17 @@
 // Graph-level parallelism: the chunked excitation sweep — the one pass of
 // a state-graph build that fans out over SgOptions::threads — must
 // reproduce the sequential masks exactly, at build time and through
-// recompute_excitation. Also covers the WorkPool underneath every parallel
-// engine. These tests run in the clang RTCAD_SANITIZE=ON job (ASan/UBSan:
-// memory errors) and the RTCAD_TSAN=ON job (ThreadSanitizer: data races in
-// the sweep and the worker pool).
+// recompute_excitation, and a copy's passes must leave the graph it shares
+// its arrays with untouched. Also covers the WorkPool underneath every
+// parallel engine. These tests run in the clang RTCAD_SANITIZE=ON job
+// (ASan/UBSan: memory errors) and the RTCAD_TSAN=ON job (ThreadSanitizer:
+// data races in the sweep, the shared arrays and the worker pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
+#include "sg/analysis.hpp"
 #include "sg/stategraph.hpp"
 #include "stg/builders.hpp"
 #include "util/workpool.hpp"
@@ -35,7 +38,11 @@ TEST(ParallelStateGraph, Pipeline14IdenticalAt1And8Threads) {
 }
 
 // recompute_excitation(8) honors its width on any graph; rerunning it on
-// a built graph must reproduce the sequential masks.
+// a built graph must reproduce the sequential masks. Each copy below starts
+// out sharing the original's arrays and is then recomputed, so the test
+// relies on the mutator copying a shared block before it writes: were the
+// block written in place, both sides would read the same masks and the
+// comparison would prove nothing.
 TEST(ParallelStateGraph, DerivedPassesIdenticalAt8Threads) {
   const StateGraph t1 = build_with_threads(pipeline_stg(14), 1);
   StateGraph t8 = t1;
@@ -47,6 +54,25 @@ TEST(ParallelStateGraph, DerivedPassesIdenticalAt8Threads) {
   StateGraph f8 = f1;
   f8.recompute_excitation(8);
   EXPECT_TRUE(identical_graphs(f1, f8));
+}
+
+// A copy shares the original's arrays until a mutator copies them, so
+// rerunning both derived passes on the copy while another thread analyzes
+// the original must not write a byte the reader sees. A write to the
+// shared block is a data race the TSan job reports.
+TEST(ParallelStateGraph, MutatingACopyLeavesTheSharedOriginalAlone) {
+  const StateGraph original = build_with_threads(pipeline_stg(14), 1);
+  const SgAnalysis before = analyze(original);
+  StateGraph copy = original;
+  SgAnalysis during;
+  std::thread reader([&] { during = analyze(original); });
+  copy.rebuild_reverse_csr();
+  copy.recompute_excitation(8);
+  reader.join();
+  EXPECT_TRUE(identical_graphs(original, copy));
+  EXPECT_EQ(during.usc_classes, before.usc_classes);
+  EXPECT_EQ(during.csc_conflicts.size(), before.csc_conflicts.size());
+  EXPECT_EQ(during.persistency.size(), before.persistency.size());
 }
 
 // --- the shared pool underneath every parallel engine ---------------------
