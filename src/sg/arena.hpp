@@ -3,8 +3,14 @@
 // std::vector header plus a separate heap allocation per state — dominant
 // above 10^6 states; here a state's marking is row `slot` of one flat
 // array, so SgState shrinks to an offset + code and the whole marking
-// store is one allocation with cache-friendly sequential layout for the
-// visited-table probes.
+// store is one allocation.
+//
+// The arena is also the build's visited set's key store. The visited table
+// (stategraph.cpp) keeps only an 8-byte slot per state, a 32-bit hash tag
+// and the state id (== slot during a build): a probe that matches the tag
+// compares the candidate against row(id), and a regrow re-hashes rows
+// 0..size-1 in id order instead of keeping hashes. So the explore loop
+// appends each inserted state's row before the table's next probe.
 //
 // Two row formats, chosen per graph by StateGraph::build():
 //

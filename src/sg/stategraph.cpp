@@ -1,6 +1,7 @@
 #include "sg/stategraph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <utility>
 
@@ -15,60 +16,86 @@ namespace {
 // graphs would spend more on spawning workers than on the work.
 constexpr int kMinParallelEdges = 1 << 15;
 
+// Enabled sets the explore loop's ring holds before it first doubles.
+constexpr std::size_t kInitialMaskSets = 64;
+static_assert(std::has_single_bit(kInitialMaskSets));
+
 // Open-addressed, linear-probe visited table for the reachability hot path.
 // A state is the packed pair (marking, code); during exploration the code is
 // carried as a switching-parity word determined by the marking (two paths
 // reaching one marking with different parities is the consistency error, not
 // two distinct states), so the table keys on the marking, and the parity a
 // state keeps in its code field until build() applies v0 completes the
-// packed key. Slots hold (hash, state id); the marking bytes themselves
-// live once in the graph's MarkingArena (slot == state id during a build),
-// so probing compares a cached 64-bit hash first and memcmps one arena row
-// only on a hash hit. This replaces the seed's
-// std::unordered_map<Marking, int>, whose node allocation per insert and
-// pointer chase per probe dominated build time on large specs.
+// packed key. The marking bytes live once in the graph's MarkingArena
+// (slot == state id during a build), so a slot is 8 bytes: the high half of
+// the row's hash as a tag, and the state id. A probe memcmps one arena row
+// only on a tag hit. Growing frees the old slots before it allocates the new
+// ones, then re-inserts arena rows 0..size-1 in id order, so no two tables
+// are ever held at once.
 class VisitedTable {
  public:
-  VisitedTable() { rehash(kInitialSlots); }
+  /// Start loading the slot a row with hash `h` probes first.
+  void prefetch(std::uint64_t h) const {
+    __builtin_prefetch(slots_.data() + (static_cast<std::size_t>(h) & mask_));
+  }
 
   /// Look up the marking bytes `m` (with precomputed hash `h`); insert `id`
-  /// if absent. Returns {resident id, inserted}.
+  /// if absent. Returns {resident id, inserted}. Every id inserted before
+  /// this call must have its row in `arena` by now: growing re-reads them.
   std::pair<int, bool> find_or_insert(const std::uint8_t* m, std::uint64_t h,
                                       int id, const MarkingArena& arena) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow(arena);
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
     std::size_t i = static_cast<std::size_t>(h) & mask_;
     while (slots_[i].id >= 0) {
-      if (slots_[i].hash == h &&
+      if (slots_[i].tag == tag &&
           arena.row_equals(static_cast<std::uint32_t>(slots_[i].id), m))
         return {slots_[i].id, false};
       i = (i + 1) & mask_;
     }
-    slots_[i] = Slot{h, id};
+    slots_[i] = Slot{tag, id};
     ++size_;
     return {id, true};
   }
 
  private:
   struct Slot {
-    std::uint64_t hash = 0;
+    std::uint32_t tag = 0;
     int id = -1;
   };
   static constexpr std::size_t kInitialSlots = 1024;
 
-  void rehash(std::size_t n) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(n, Slot{});
+  // Double the table from the arena's rows, in blocks: hash and prefetch a
+  // block's slots, then place the block, as the explore loop's two passes
+  // do.
+  void grow(const MarkingArena& arena) {
+    RTCAD_ASSERT(arena.size() >= size_);
+    const std::size_t n = 2 * slots_.size();
+    slots_ = std::vector<Slot>();  // free the old slots first
+    slots_.resize(n);
     mask_ = n - 1;
-    for (const Slot& s : old) {
-      if (s.id < 0) continue;
-      std::size_t i = static_cast<std::size_t>(s.hash) & mask_;
-      while (slots_[i].id >= 0) i = (i + 1) & mask_;
-      slots_[i] = s;
+    const auto stride = static_cast<std::size_t>(arena.stride());
+    constexpr std::size_t kBlock = 32;
+    std::uint64_t hashes[kBlock] = {};
+    for (std::size_t begin = 0; begin < size_; begin += kBlock) {
+      const std::size_t end = std::min(size_, begin + kBlock);
+      for (std::size_t id = begin; id < end; ++id) {
+        hashes[id - begin] =
+            marking_hash(arena.row(static_cast<std::uint32_t>(id)), stride);
+        prefetch(hashes[id - begin]);
+      }
+      for (std::size_t id = begin; id < end; ++id) {
+        const std::uint64_t h = hashes[id - begin];
+        std::size_t i = static_cast<std::size_t>(h) & mask_;
+        while (slots_[i].id >= 0) i = (i + 1) & mask_;
+        slots_[i] = Slot{static_cast<std::uint32_t>(h >> 32),
+                         static_cast<int>(id)};
+      }
     }
   }
 
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  std::size_t mask_ = kInitialSlots - 1;
   std::size_t size_ = 0;
 };
 
@@ -96,12 +123,14 @@ std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
 // The explore loop's token game, compiled once per build() against the
 // arena it runs on. Both games keep one contract: enabled(row, t) is the
 // firing rule, and fire(row, t, next), called only for a transition
-// enabled(row, t) has just passed, writes the successor row into `next`
-// without re-checking that precondition. A row is the arena's stride() bytes,
-// read as Words.
+// enabled(row, t) has passed, writes the successor row into `next` without
+// re-checking that precondition. fire() returns -1, or the first place the
+// firing would take past the row format's token bound (leaving `next`
+// unfinished); it never throws, so the explore loop decides when that
+// counts. A row is the arena's stride() bytes, read as Words.
 
 // Bit rows for 1-safe nets: a pre and a post mask per transition, side by
-// side in one array.
+// side in one array. Their bound is one token a place.
 class BitGame {
  public:
   using Word = std::uint64_t;
@@ -129,17 +158,16 @@ class BitGame {
     return true;
   }
 
-  /// False when the firing would put a second token on a place: the net
-  /// is not 1-safe, and build() explores it again with byte rows.
-  bool fire(const Word* row, int t, Word* next) const {
+  int fire(const Word* row, int t, Word* next) const {
     const Word* pre = masks_.data() + 2 * static_cast<std::size_t>(t) * width_;
     const Word* post = pre + width_;
     for (int w = 0; w < width_; ++w) {
       const Word rest = row[w] & ~pre[w];
-      if (rest & post[w]) return false;
+      if (const Word twice = rest & post[w])
+        return 64 * w + std::countr_zero(twice);
       next[w] = rest | post[w];
     }
-    return true;
+    return -1;
   }
 
  private:
@@ -147,9 +175,9 @@ class BitGame {
   std::vector<Word> masks_;  ///< per transition: pre words, then post words
 };
 
-// Byte rows (one token count per place), played on the Stg's own place
-// lists in arc order, so the token-bound error names the same place
-// Stg::fire() would.
+// Byte rows (one token count per place, bound 255), played on the Stg's own
+// place lists in arc order, so the place fire() reports is the one
+// Stg::fire() names.
 class ByteGame {
  public:
   using Word = std::uint8_t;
@@ -165,22 +193,37 @@ class ByteGame {
     return true;
   }
 
-  bool fire(const Word* row, int t, Word* next) const {
+  int fire(const Word* row, int t, Word* next) const {
     std::copy_n(row, width_, next);
     for (int p : stg_.transition(t).pre) --next[p];
     for (int p : stg_.transition(t).post) {
-      if (next[p] == 255)
-        throw SpecError("place '" + stg_.place(p).name +
-                        "' exceeds token bound");
+      if (next[p] == 255) return p;
       ++next[p];
     }
-    return true;
+    return -1;
   }
 
  private:
   const Stg& stg_;
   int width_;
 };
+
+// Enabled sets: a state's set has bit t % 64 of word t / 64 set when
+// transition t is enabled there. Firing t moves tokens only on pre(t) and
+// post(t), so only the transitions consuming from one of those places can
+// be enabled on one side of the firing and not on the other. Writes that
+// set, read off StgPlace::post, as `words` words per transition at `out`.
+void write_affected(const Stg& stg, std::size_t words, std::uint64_t* out) {
+  for (int t = 0; t < stg.num_transitions(); ++t, out += words) {
+    for (const std::vector<int>* places :
+         {&stg.transition(t).pre, &stg.transition(t).post}) {
+      for (int p : *places) {
+        for (int u : stg.place(p).post)
+          out[u / 64] |= std::uint64_t{1} << (u % 64);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -247,20 +290,61 @@ bool StateGraph::explore(const SgOptions& opts,
   level_sizes_.clear();
   v0_out->assign(64, -1);  // -1 unknown, else 0/1
 
-  // Scratch rows reused across the whole exploration: the state being
-  // expanded (copied out, since the arena may reallocate while appending
-  // successors) and the firing target.
-  std::vector<Word> row(stride / sizeof(Word));
-  std::vector<Word> next(row.size());
-  auto* next_bytes = reinterpret_cast<std::uint8_t*>(next.data());
+  // One scratch buffer for the whole exploration, in four parts:
+  //  * `affected`: each transition's affected set (see write_affected);
+  //  * `enabled` and `row`: the enabled set and the row of the state being
+  //    expanded, copied out as words;
+  //  * `fired`: pass 1's entries, one per enabled transition: the
+  //    transition, the successor row's hash, then the row.
+  const int num_transitions = stg.num_transitions();
+  const std::size_t mask_words = (num_transitions + 63) / 64;
+  const std::size_t row_words = (stride + 7) / 8;
+  const std::size_t entry_words = 2 + row_words;
+  std::vector<std::uint64_t> scratch((num_transitions + 1) * mask_words +
+                                     row_words +
+                                     num_transitions * entry_words);
+  std::uint64_t* const affected = scratch.data();
+  std::uint64_t* const enabled = affected + num_transitions * mask_words;
+  Word* const row = reinterpret_cast<Word*>(enabled + mask_words);
+  auto* const row_bytes = reinterpret_cast<std::uint8_t*>(row);
+  std::uint64_t* const fired = enabled + mask_words + row_words;
+  write_affected(stg, mask_words, affected);
+
+  // The enabled sets of the states discovered but not yet expanded, in id
+  // order: a ring of `ring_sets` sets (a power of two) of mask_words words,
+  // the oldest at `ring_head`. A set is derived once, when its state is
+  // discovered, and leaves the ring when the state is expanded. The ring
+  // starts with room for kInitialMaskSets sets, so a small graph allocates
+  // it once, and doubles when full.
+  std::size_t ring_sets = kInitialMaskSets, ring_head = 0, ring_count = 0;
+  std::vector<std::uint64_t> ring(ring_sets * mask_words);
+  const auto push_set = [&]() -> std::uint64_t* {
+    if (ring_count == ring_sets) {
+      std::vector<std::uint64_t> bigger(2 * ring_sets * mask_words);
+      for (std::size_t i = 0; i < ring_count; ++i)
+        std::copy_n(ring.data() + ((ring_head + i) & (ring_sets - 1)) *
+                                      mask_words,
+                    mask_words, bigger.data() + i * mask_words);
+      ring = std::move(bigger);
+      ring_sets *= 2;
+      ring_head = 0;
+    }
+    return ring.data() +
+           ((ring_head + ring_count++) & (ring_sets - 1)) * mask_words;
+  };
 
   VisitedTable index;
-  arena.encode(stg.initial_marking(), next_bytes);
-  states.push_back(SgState{0, arena.append(next_bytes)});
+  arena.encode(stg.initial_marking(), row_bytes);
+  states.push_back(SgState{0, arena.append(row_bytes)});
   {
     const auto seeded = index.find_or_insert(
-        next_bytes, marking_hash(next_bytes, stride), 0, arena);
+        row_bytes, marking_hash(row_bytes, stride), 0, arena);
     RTCAD_ASSERT(seeded.second);
+  }
+  std::uint64_t* const initial_set = push_set();
+  for (int t = 0; t < num_transitions; ++t) {
+    if (game.enabled(row, t))
+      initial_set[t / 64] |= std::uint64_t{1} << (t % 64);
   }
 
   // BFS level tracking: ids are assigned in discovery order, so each level
@@ -272,7 +356,6 @@ bool StateGraph::explore(const SgOptions& opts,
   // at each level boundary below.
   if (opts.cancel) opts.cancel->check("state-graph build");
 
-  const int num_transitions = stg.num_transitions();
   for (int si = 0; si < static_cast<int>(states.size()); ++si) {
     if (static_cast<std::size_t>(si) == level_boundary) {
       level_sizes_.push_back(static_cast<int>(level_boundary - level_begin));
@@ -281,24 +364,69 @@ bool StateGraph::explore(const SgOptions& opts,
       if (opts.cancel) opts.cancel->check("state-graph build");
     }
     out_row.push_back(static_cast<int>(edge_transition.size()));
-    std::copy_n(arena.row(states[si].slot), stride,
-                reinterpret_cast<std::uint8_t*>(row.data()));
+    std::copy_n(arena.row(states[si].slot), stride, row_bytes);
+    std::copy_n(ring.data() + ring_head * mask_words, mask_words, enabled);
+    ring_head = (ring_head + 1) & (ring_sets - 1);
+    --ring_count;
     const std::uint64_t par = states[si].code;
 
-    for (int t = 0; t < num_transitions; ++t) {
-      if (!game.enabled(row.data(), t)) continue;
+    // Pass 1: fire every enabled transition, in ascending order, into an
+    // entry, and prefetch each successor's visited-table slot, so pass 2's
+    // probes find their slots loaded instead of stalling on each in turn.
+    // A firing past the token bound ends the pass; pass 2 stops there too.
+    std::size_t count = 0;
+    int overflow = -1;
+    for (std::size_t w = 0; w < mask_words && overflow < 0; ++w) {
+      for (std::uint64_t bits = enabled[w]; bits != 0; bits &= bits - 1) {
+        std::uint64_t* entry = fired + count++ * entry_words;
+        const int t = static_cast<int>(64 * w) + std::countr_zero(bits);
+        entry[0] = static_cast<std::uint64_t>(t);
+        overflow = game.fire(row, t, reinterpret_cast<Word*>(entry + 2));
+        if (overflow >= 0) break;
+        entry[1] = marking_hash(
+            reinterpret_cast<const std::uint8_t*>(entry + 2), stride);
+        index.prefetch(entry[1]);
+      }
+    }
+
+    // Pass 2: probe, insert and append edges in the same order, so state
+    // ids, the CSR and every error come out as from firing one transition
+    // at a time.
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint64_t* entry = fired + k * entry_words;
+      const int t = static_cast<int>(entry[0]);
       const std::uint64_t next_par = apply_edge_parity(stg, t, par, v0_out);
-      if (!game.fire(row.data(), t, next.data())) return false;
+      if (overflow >= 0 && k + 1 == count) {
+        // On bit rows the net is not 1-safe, and build() starts over on
+        // byte rows; on byte rows it is past the 255-token bound.
+        if constexpr (Game::kFormat == MarkingArena::Format::kBits) {
+          return false;
+        } else {
+          throw SpecError("place '" + stg.place(overflow).name +
+                          "' exceeds token bound");
+        }
+      }
+      const auto* next = reinterpret_cast<const std::uint8_t*>(entry + 2);
       const int candidate_id = static_cast<int>(states.size());
-      const auto insertion =
-          index.find_or_insert(next_bytes, marking_hash(next_bytes, stride),
-                               candidate_id, arena);
-      const int succ_id = insertion.first;
-      if (insertion.second) {
+      const auto [succ_id, inserted] =
+          index.find_or_insert(next, entry[1], candidate_id, arena);
+      if (inserted) {
         if (states.size() >= opts.max_states)
           throw SpecError("state graph of '" + stg.name() + "' exceeds " +
                           std::to_string(opts.max_states) + " states");
-        states.push_back(SgState{next_par, arena.append(next_bytes)});
+        states.push_back(SgState{next_par, arena.append(next)});
+        // Its enabled set is this state's, with the transitions that t
+        // affects tested again on the new row.
+        const std::uint64_t* affects = affected + t * mask_words;
+        const auto* next_row = reinterpret_cast<const Word*>(entry + 2);
+        std::uint64_t* const set = push_set();
+        for (std::size_t w = 0; w < mask_words; ++w) {
+          set[w] = enabled[w] & ~affects[w];
+          for (std::uint64_t bits = affects[w]; bits != 0; bits &= bits - 1) {
+            const int u = static_cast<int>(64 * w) + std::countr_zero(bits);
+            if (game.enabled(next_row, u)) set[w] |= bits & -bits;
+          }
+        }
       } else if (states[succ_id].code != next_par) {
         throw SpecError("STG '" + stg.name() +
                         "' is inconsistent: switching parity differs "

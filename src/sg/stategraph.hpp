@@ -108,17 +108,35 @@ class StateGraph {
   /// Explore the full reachability graph. Throws SpecError on
   /// inconsistency, unboundedness, or state overflow. The StateGraph keeps
   /// its own copy of the specification (callers may pass temporaries).
-  /// The exploration loop is the flow's hot path: it runs its own token
-  /// game, compiled once per build for the arena's row format (bit masks
-  /// for 1-safe nets, place lists otherwise; see arena.hpp), visited
-  /// markings live in an open-addressed table, firing reuses scratch rows,
-  /// and the BFS emits edges in CSR order directly, so cost is ~O(edges)
-  /// with no per-edge heap allocation (see stategraph.cpp). The row format
-  /// never changes the graph or an error. Exploration and the
-  /// counting-sort transpose run on the calling thread; only the excitation
-  /// sweep fans out, on `opts.threads` workers once the graph has 32k
-  /// edges. Each state writes only its own masks there, so the graph and
-  /// any error are byte-identical at every thread count.
+  ///
+  /// The exploration loop is the flow's hot path (stategraph.cpp). It runs
+  /// its own token game, compiled once per build for the arena's row
+  /// format (bit masks for 1-safe nets, place lists otherwise; see
+  /// arena.hpp), and expands each state in two passes:
+  ///  * pass 1 fires every enabled transition into one per-build successor
+  ///    buffer, hashes each successor and prefetches its visited-table
+  ///    slot. It raises nothing: a firing past the token bound is recorded
+  ///    and ends the pass;
+  ///  * pass 2 takes the successors in ascending transition order and, for
+  ///    each, checks the initial values, raises the recorded overflow (on
+  ///    bit rows: starts over on byte rows), probes the table (the state
+  ///    cap on an insert, the parity check on a hit) and appends the edge.
+  /// So ids, CSR order, level sizes and every error are those of a loop
+  /// that fires one transition at a time, and the row format never changes
+  /// the graph or an error. A state's enabled transitions are a
+  /// ⌈T/64⌉-word set derived once, at discovery, from its discoverer's:
+  /// only the transitions consuming from a place the fired transition
+  /// touches are tested again. The sets live only while their states wait
+  /// in the BFS queue, in a ring that doubles when full.
+  /// The visited table holds 8-byte slots (hash tag, state id) over the
+  /// arena's rows and regrows from the arena in id order. Cost is
+  /// ~O(edges) with no per-edge heap allocation.
+  ///
+  /// Exploration and the counting-sort transpose run on the calling
+  /// thread; only the excitation sweep fans out, on `opts.threads` workers
+  /// once the graph has 32k edges. Each state writes only its own masks
+  /// there, so the graph and any error are byte-identical at every thread
+  /// count.
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }

@@ -13,8 +13,16 @@
 // corpus, 200 seeded random specs at two state caps (including
 // token-bound, inconsistency and state-cap errors), ring9 (the bit attempt
 // is abandoned early), fifo_2slot (byte rows from the initial marking),
-// pipeline12, and a 1-safe net of more than 128 places whose tokens cross
-// the 64-bit word boundaries of a bit row.
+// pipeline12, and a 1-safe net of more than 128 places and transitions
+// whose tokens cross the 64-bit word boundaries of a bit row and whose
+// transition ids cross those of an enabled set.
+//
+// build() expands a state in two passes: it fires every enabled transition
+// first, then probes and inserts the successors in transition order. Two
+// hand-built nets pin that errors still come in that order when one state
+// has a successor past the state cap and another past the token bound, and
+// a net with a self-loop place pins the enabled sets build() carries from
+// state to state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,9 +231,79 @@ TEST(BuildOracle, WordBoundariesMatchReference) {
   }
   stg.validate();
   ASSERT_GT(stg.num_places(), 128);
+  // 152 transitions make 3-word enabled sets, and the transitions enabled
+  // together cross ids 63/64 and 127/128 as the tokens move.
+  ASSERT_GT(stg.num_transitions(), 128);
   const ReferenceGraph ref = expect_same_build(stg, "wide_places");
   EXPECT_EQ(ref.markings.size(), 76u * 76u);
   EXPECT_FALSE(has_multi_token_marking(ref));
+}
+
+/// A net whose second state enables two silent transitions that both
+/// consume place `a`: `to_new` leads to a new marking (past a cap of two
+/// states), and `to_full` adds a token to `full`, which already holds 255.
+/// The one with the lower id is added first.
+Stg cap_and_bound_stg(bool cap_first) {
+  Stg stg(cap_first ? "cap_first" : "bound_first");
+  const int start = stg.add_place("start", 1);
+  const int a = stg.add_place("a");
+  const int fresh = stg.add_place("fresh");
+  const int full = stg.add_place("full", 255);
+  const int go = stg.add_transition(std::nullopt);
+  stg.add_arc_pt(start, go);
+  stg.add_arc_tp(go, a);
+  const int first = stg.add_transition(std::nullopt);
+  const int second = stg.add_transition(std::nullopt);
+  const int to_new = cap_first ? first : second;
+  const int to_full = cap_first ? second : first;
+  for (const int t : {to_new, to_full}) stg.add_arc_pt(a, t);
+  stg.add_arc_tp(to_new, fresh);
+  stg.add_arc_tp(to_full, full);
+  stg.validate();
+  return stg;
+}
+
+TEST(BuildOracle, DeferredErrorsMatchReference) {
+  // Whichever of the two firings comes first in transition order must
+  // decide the error, although build() fires both before it probes either.
+  const ReferenceGraph cap_first =
+      expect_same_build(cap_and_bound_stg(true), "cap_first", 2);
+  EXPECT_EQ(cap_first.error, "state graph of 'cap_first' exceeds 2 states");
+  const ReferenceGraph bound_first =
+      expect_same_build(cap_and_bound_stg(false), "bound_first", 2);
+  EXPECT_EQ(bound_first.error, "place 'full' exceeds token bound");
+}
+
+TEST(BuildOracle, SelfLoopPlaceMatchesReference) {
+  // `shared` is in both the pre and the post set of a+, and b+ consumes it
+  // too: firing a+ leaves b+ enabled, firing b+ disables a+ until b- puts
+  // the token back. With two tokens on `shared` the net runs on byte rows
+  // and b+ no longer disables a+.
+  for (const std::uint8_t tokens : {1, 2}) {
+    Stg stg("self_loop");
+    const int a = stg.add_signal("a", SignalKind::kOutput);
+    const int b = stg.add_signal("b", SignalKind::kOutput);
+    const int a_rise = stg.add_transition(Edge{a, Polarity::kRise});
+    const int a_fall = stg.add_transition(Edge{a, Polarity::kFall});
+    const int b_rise = stg.add_transition(Edge{b, Polarity::kRise});
+    const int b_fall = stg.add_transition(Edge{b, Polarity::kFall});
+    stg.add_arc_tt(a_fall, a_rise, 1);
+    stg.add_arc_tt(a_rise, a_fall);
+    stg.add_arc_tt(b_fall, b_rise, 1);
+    stg.add_arc_tt(b_rise, b_fall);
+    const int shared = stg.add_place("shared", tokens);
+    stg.add_arc_pt(shared, a_rise);
+    stg.add_arc_tp(a_rise, shared);
+    stg.add_arc_pt(shared, b_rise);
+    stg.add_arc_tp(b_fall, shared);
+    stg.validate();
+    const std::string context = "self_loop, " + std::to_string(tokens) +
+                                " token(s) on shared";
+    const ReferenceGraph ref = expect_same_build(stg, context);
+    EXPECT_EQ(ref.error, "") << context;
+    EXPECT_EQ(ref.markings.size(), 4u) << context;
+    EXPECT_EQ(has_multi_token_marking(ref), tokens == 2) << context;
+  }
 }
 
 }  // namespace
