@@ -34,39 +34,40 @@ constexpr int kAgeSaturated = 1 << 20;
 /// transitions since `e` became excited, where excitation is judged on the
 /// ORIGINAL graph (via old_state_of) — reduction suppresses edges, but the
 /// marking keeps the response pending, and it is the pending time that the
-/// head-start rule reasons about. Region entries (predecessor not pending,
-/// or the initial state) have age 1; a multi-source BFS inside the pending
-/// region assigns the shortest distance from any entry. Walks the reverse
-/// CSR for entry detection and the forward CSR for propagation.
+/// head-start rule reasons about. Region entries (a predecessor not
+/// pending, or the initial state) have age 1; a multi-source BFS inside the
+/// pending region assigns the shortest distance from any entry. Both walk
+/// the forward CSR only: entries are marked by sweeping the out-edges of
+/// every non-pending state, then queued in ascending state order. Workers
+/// share `red`, which need hold no transpose.
 std::vector<int> pending_ages(const StateGraph& red, const StateGraph& orig,
                               const Edge& e) {
   const int n = red.num_states();
-  const auto pending = [&](int s) {
-    return orig.excited(red.old_state_of(s), e);
-  };
+  std::vector<char> pending(n);
+  for (int s = 0; s < n; ++s)
+    pending[s] = orig.excited(red.old_state_of(s), e);
   std::vector<int> age(n, 0);
+  if (pending[0]) age[0] = 1;
+  for (int s = 0; s < n; ++s) {
+    if (pending[s]) continue;
+    for (const auto& [t, to] : red.out_edges(s)) {
+      if (pending[to]) age[to] = 1;
+    }
+  }
   std::vector<int> queue;
   for (int s = 0; s < n; ++s) {
-    if (!pending(s)) continue;
-    bool entry = (s == 0);
-    for (const auto& [t, from] : red.in_edges(s)) {
-      if (!pending(from)) entry = true;
-    }
-    if (entry) {
-      age[s] = 1;
-      queue.push_back(s);
-    }
+    if (age[s] == 1) queue.push_back(s);
   }
   for (std::size_t qi = 0; qi < queue.size(); ++qi) {
     const int s = queue[qi];
     for (const auto& [t, to] : red.out_edges(s)) {
-      if (!pending(to) || age[to] > 0) continue;
+      if (!pending[to] || age[to] > 0) continue;
       age[to] = age[s] + 1;
       queue.push_back(to);
     }
   }
   for (int s = 0; s < n; ++s) {
-    if (pending(s) && age[s] == 0) age[s] = kAgeSaturated;
+    if (pending[s] && age[s] == 0) age[s] = kAgeSaturated;
   }
   return age;
 }

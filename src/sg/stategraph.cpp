@@ -28,7 +28,7 @@ static_assert(std::has_single_bit(kInitialMaskSets));
 // state keeps in its code field until build() applies v0 completes the
 // packed key. The marking bytes live once in the graph's MarkingArena
 // (slot == state id during a build), so a slot is 8 bytes: the high half of
-// the row's hash as a tag, and the state id. A probe memcmps one arena row
+// the row's hash as a tag, and the state id. A probe compares one arena row
 // only on a tag hit. Growing frees the old slots before it allocates the new
 // ones, then re-inserts arena rows 0..size-1 in id order, so no two tables
 // are ever held at once.
@@ -99,25 +99,12 @@ class VisitedTable {
   std::size_t size_ = 0;
 };
 
-// Apply the initial-value constraint of firing labelled transition `t` at
-// switching parity `par`, and return the successor parity.
-std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
-                                std::vector<signed char>* v0) {
-  const auto& label = stg.transition(t).label;
-  if (!label.has_value()) return par;
-  // v(s) at this marking is v0(s) ^ parity; s+ requires v=0, s- v=1.
-  const int pre_parity = static_cast<int>((par >> label->signal) & 1);
-  const int required_v0 =
-      (label->pol == Polarity::kRise) ? pre_parity : 1 - pre_parity;
-  signed char& known = (*v0)[label->signal];
-  if (known == -1) {
-    known = static_cast<signed char>(required_v0);
-  } else if (known != required_v0) {
-    throw SpecError("STG '" + stg.name() + "' is inconsistent: signal '" +
-                    stg.signal(label->signal).name +
-                    "' requires contradictory initial values");
-  }
-  return par ^ (std::uint64_t{1} << label->signal);
+// The explore loop's error for a signal whose initial value two firings
+// infer differently. Kept out of the loop, which only tests for it.
+[[noreturn]] void throw_contradictory(const Stg& stg, int signal) {
+  throw SpecError("STG '" + stg.name() + "' is inconsistent: signal '" +
+                  stg.signal(signal).name +
+                  "' requires contradictory initial values");
 }
 
 // The explore loop's token game, compiled once per build() against the
@@ -245,7 +232,7 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // scratch on byte rows. Both explorations fire the same transitions in
   // the same order up to that firing, so the graph and any error are the
   // same either way.
-  std::vector<signed char> v0;
+  InitialValues v0;
   bool one_safe = true;
   for (int p = 0; p < stg.num_places(); ++p)
     one_safe = one_safe && stg.place(p).initial_tokens <= 1;
@@ -254,24 +241,22 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
 
   // Signals with an explicitly declared initial value win over inference
   // only when inference produced no constraint.
-  std::uint64_t v0_value = 0;
+  std::uint64_t v0_value = v0.value;
   for (int s = 0; s < stg.num_signals(); ++s) {
-    if (v0[s] == 1 || (v0[s] == -1 && stg.signal(s).initial_value == 1))
+    if (!(v0.known >> s & 1) && stg.signal(s).initial_value == 1)
       v0_value |= std::uint64_t{1} << s;
   }
 
   // Phase 2: final codes (exploration left each state's parity there).
   for (SgState& state : sg.arrays_->states) state.code ^= v0_value;
 
-  sg.rebuild_reverse_csr();
   sg.recompute_excitation(sg.num_edges() >= kMinParallelEdges ? opts.threads
                                                               : 1);
   return sg;
 }
 
 template <typename Game>
-bool StateGraph::explore(const SgOptions& opts,
-                         std::vector<signed char>* v0_out) {
+bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   using Word = typename Game::Word;
   const Stg& stg = stg_;
   arena_ = std::make_shared<MarkingArena>(stg.num_places(), Game::kFormat);
@@ -288,10 +273,15 @@ bool StateGraph::explore(const SgOptions& opts,
   edge_transition.clear();
   edge_successor.clear();
   level_sizes_.clear();
-  v0_out->assign(64, -1);  // -1 unknown, else 0/1
+  // The initial values inferred so far (see InitialValues), held here and
+  // stored to *v0_out when the exploration completes.
+  std::uint64_t v0_known = 0, v0_value = 0;
 
-  // One scratch buffer for the whole exploration, in four parts:
+  // One scratch buffer for the whole exploration, in five parts:
   //  * `affected`: each transition's affected set (see write_affected);
+  //  * `labels`: two words per transition, its signal's bit and that bit
+  //    again if it is a falling edge (both 0 if it is silent), so pass 2
+  //    checks initial values and flips parities without reading the Stg;
   //  * `enabled` and `row`: the enabled set and the row of the state being
   //    expanded, copied out as words;
   //  * `fired`: pass 1's entries, one per enabled transition: the
@@ -301,14 +291,21 @@ bool StateGraph::explore(const SgOptions& opts,
   const std::size_t row_words = (stride + 7) / 8;
   const std::size_t entry_words = 2 + row_words;
   std::vector<std::uint64_t> scratch((num_transitions + 1) * mask_words +
-                                     row_words +
+                                     2 * num_transitions + row_words +
                                      num_transitions * entry_words);
   std::uint64_t* const affected = scratch.data();
-  std::uint64_t* const enabled = affected + num_transitions * mask_words;
+  std::uint64_t* const labels = affected + num_transitions * mask_words;
+  std::uint64_t* const enabled = labels + 2 * num_transitions;
   Word* const row = reinterpret_cast<Word*>(enabled + mask_words);
   auto* const row_bytes = reinterpret_cast<std::uint8_t*>(row);
   std::uint64_t* const fired = enabled + mask_words + row_words;
   write_affected(stg, mask_words, affected);
+  for (int t = 0; t < num_transitions; ++t) {
+    if (const auto& label = stg.transition(t).label) {
+      labels[2 * t] = std::uint64_t{1} << label->signal;
+      if (label->pol == Polarity::kFall) labels[2 * t + 1] = labels[2 * t];
+    }
+  }
 
   // The enabled sets of the states discovered but not yet expanded, in id
   // order: a ring of `ring_sets` sets (a power of two) of mask_words words,
@@ -395,7 +392,15 @@ bool StateGraph::explore(const SgOptions& opts,
     for (std::size_t k = 0; k < count; ++k) {
       const std::uint64_t* entry = fired + k * entry_words;
       const int t = static_cast<int>(entry[0]);
-      const std::uint64_t next_par = apply_edge_parity(stg, t, par, v0_out);
+      // v(s) at this state is v0(s) ^ parity(s), and s+ needs v = 0, s-
+      // v = 1: so firing t requires v0(s) = parity(s) ^ [t is s-].
+      const std::uint64_t bit = labels[2 * t];
+      const std::uint64_t required = (par ^ labels[2 * t + 1]) & bit;
+      if ((v0_value ^ required) & v0_known & bit)
+        throw_contradictory(stg, std::countr_zero(bit));
+      v0_known |= bit;
+      v0_value |= required;
+      const std::uint64_t next_par = par ^ bit;
       if (overflow >= 0 && k + 1 == count) {
         // On bit rows the net is not 1-safe, and build() starts over on
         // byte rows; on byte rows it is past the 255-token bound.
@@ -438,6 +443,7 @@ bool StateGraph::explore(const SgOptions& opts,
   }
   out_row.push_back(static_cast<int>(edge_transition.size()));
   level_sizes_.push_back(static_cast<int>(states.size() - level_begin));
+  *v0_out = InitialValues{v0_known, v0_value};
   return true;
 }
 
@@ -516,8 +522,10 @@ void StateGraph::recompute_excitation(int threads) {
   for (int t = 0; t < stg_.num_transitions() && !any_silent; ++t)
     any_silent = stg_.transition(t).is_silent();
   if (!any_silent) return;
-  // Worklist over the reverse CSR: when a state's masks grow, only its
-  // silent predecessors can be affected — no repeated whole-graph sweeps.
+  // Worklist over the reverse CSR, derived here if the graph has none yet:
+  // when a state's masks grow, only its silent predecessors can be
+  // affected — no repeated whole-graph sweeps.
+  if (!has_transpose()) rebuild_reverse_csr();
   std::vector<int> worklist;
   std::vector<char> queued(n, 1);
   worklist.reserve(n);
@@ -586,7 +594,6 @@ StateGraph StateGraph::filtered(
     dst.states.push_back(src.states[old_s]);
     dst.old_state.push_back(old_state_of(old_s));
   }
-  out.rebuild_reverse_csr();
   out.recompute_excitation();
   return out;
 }
@@ -629,17 +636,11 @@ bool identical_graphs(const StateGraph& a, const StateGraph& b) {
         a.excited_rise_mask(s) != b.excited_rise_mask(s) ||
         a.excited_fall_mask(s) != b.excited_fall_mask(s) ||
         a.out_degree(s) != b.out_degree(s) ||
-        a.in_degree(s) != b.in_degree(s) ||
         a.marking_copy(s) != b.marking_copy(s))
       return false;
     for (int i = 0; i < a.out_degree(s); ++i) {
       if (a.out_edges(s)[i].transition != b.out_edges(s)[i].transition ||
           a.out_edges(s)[i].state != b.out_edges(s)[i].state)
-        return false;
-    }
-    for (int i = 0; i < a.in_degree(s); ++i) {
-      if (a.in_edges(s)[i].transition != b.in_edges(s)[i].transition ||
-          a.in_edges(s)[i].state != b.in_edges(s)[i].state)
         return false;
     }
   }

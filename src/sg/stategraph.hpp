@@ -10,11 +10,17 @@
 // Adjacency lives in shared CSR (compressed sparse row) arrays, not in the
 // states: `out_row[s] .. out_row[s+1]` indexes the flat
 // `edge_transition[]` / `edge_successor[]` pair for the out-edges of
-// state s, and a derived transpose (`in_row` / `in_transition` /
-// `in_source`) gives predecessors. Every downstream pass — excitation
-// closure, RT concurrency reduction, conformance, synthesis — is an edge
-// traversal, so the flat layout removes the per-state vector allocation
-// and pointer chase the seed representation paid on each of them.
+// state s. Every downstream pass — excitation closure, RT concurrency
+// reduction, conformance, synthesis — is an edge traversal, so the flat
+// layout removes the per-state vector allocation and pointer chase the
+// seed representation paid on each of them.
+//
+// Predecessors come from a transpose (`in_row` / `in_transition` /
+// `in_source`) that a graph holds only once rebuild_reverse_csr() has
+// derived it. The one pass on the flow's path that walks predecessors is
+// the excitation closure over silent transitions, so recompute_excitation()
+// derives it for specs that have one; every other graph — pipeline19 and
+// most of the corpus — never pays for it.
 //
 // The state, CSR and excitation arrays sit in one block that copies of a
 // graph share, the way graphs share their MarkingArena: copying a
@@ -43,10 +49,10 @@ struct SgOptions {
   std::size_t max_states = std::size_t{1} << 20;
   /// Worker threads for build()'s excitation sweep, used only on graphs of
   /// at least 32k edges; 1 keeps it sequential, 0 picks hardware
-  /// concurrency. Exploration and the transpose always run on the calling
-  /// thread, and any value yields a byte-identical graph. Batch drivers
-  /// split cores between corpus-level parallelism (their own pool) and this
-  /// graph-level setting.
+  /// concurrency. Exploration (and the transpose, when the silent closure
+  /// needs one) always runs on the calling thread, and any value yields a
+  /// byte-identical graph. Batch drivers split cores between corpus-level
+  /// parallelism (their own pool) and this graph-level setting.
   int threads = 1;
   /// Optional cooperative cancellation, checked once per BFS round. Not
   /// owned; must outlive the build.
@@ -132,11 +138,17 @@ class StateGraph {
   /// arena's rows and regrows from the arena in id order. Cost is
   /// ~O(edges) with no per-edge heap allocation.
   ///
-  /// Exploration and the counting-sort transpose run on the calling
-  /// thread; only the excitation sweep fans out, on `opts.threads` workers
-  /// once the graph has 32k edges. Each state writes only its own masks
-  /// there, so the graph and any error are byte-identical at every thread
-  /// count.
+  /// Neither pass makes an out-of-line call per edge: the hash is inline,
+  /// a probe compares bit rows word by word, and pass 2's initial-value
+  /// check and parity flip read a per-transition (signal bit, falling)
+  /// table.
+  ///
+  /// Exploration runs on the calling thread; only the excitation sweep
+  /// fans out, on `opts.threads` workers once the graph has 32k edges.
+  /// Each state writes only its own masks there, so the graph and any
+  /// error are byte-identical at every thread count. The result holds no
+  /// transpose unless its spec has a silent transition (see
+  /// recompute_excitation).
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }
@@ -172,14 +184,19 @@ class StateGraph {
   }
 
   /// In-edges of `state` as (transition, predecessor) pairs — the exact
-  /// transpose of the forward CSR, derived once at construction.
+  /// transpose of the forward CSR. Precondition: the graph holds one,
+  /// derived by rebuild_reverse_csr() (build() and filtered() derive it
+  /// only for a spec with a silent transition). The accessors never derive
+  /// it themselves, so threads may share one const graph.
   EdgeRange in_edges(int state) const {
+    RTCAD_EXPECTS(has_transpose());
     const Arrays& a = *arrays_;
     const int b = a.in_row[state];
     return EdgeRange(a.in_transition.data() + b, a.in_source.data() + b,
                      a.in_row[state + 1] - b);
   }
   int in_degree(int state) const {
+    RTCAD_EXPECTS(has_transpose());
     return arrays_->in_row[state + 1] - arrays_->in_row[state];
   }
 
@@ -261,7 +278,9 @@ class StateGraph {
   /// reachability stage trace and perfbench's `sg.arena_mb` / `sg.csr_mb`).
   /// Both are exact properties of the graph, identical at any thread count.
   /// The arena gauge is states × row stride. A filtered graph reports the
-  /// shared root arena's bytes — that is what actually stays resident.
+  /// shared root arena's bytes — that is what actually stays resident. The
+  /// CSR gauge counts the forward CSR and the excitation masks, plus the
+  /// transpose once one has been derived.
   std::size_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
   std::size_t csr_bytes() const {
     const Arrays& a = *arrays_;
@@ -273,20 +292,23 @@ class StateGraph {
                sizeof(std::uint64_t);
   }
 
-  /// Recompute the derived structures in place — build() and filtered()
-  /// run both; public so benches and differential tests can time and
-  /// cross-check the passes in isolation. A graph whose arrays another
-  /// graph shares copies them first, so the other graph is not written.
+  /// Recompute the derived structures in place; public so benches and
+  /// differential tests can time and cross-check the passes in isolation.
+  /// A graph whose arrays another graph shares copies them first, so the
+  /// other graph is not written.
   ///
-  /// The transpose is a sequential counting sort; `threads` is ignored and
-  /// kept only because perfbench's layer suite passes a width.
+  /// Derive the transpose that in_edges() reads: a sequential counting
+  /// sort. `threads` is ignored and kept only because perfbench's layer
+  /// suite passes a width.
   void rebuild_reverse_csr(int threads = 1);
   /// The excitation sweep on `threads` workers (0 picks hardware
-  /// concurrency). Unlike build(), which keeps graphs under 32k edges
-  /// sequential, an explicit width here is honored on any graph, so
-  /// differentials can drive the chunked sweep on small inputs. Each state
-  /// writes only its own masks (the silent-ε closure stays sequential), so
-  /// the result is byte-identical at any width.
+  /// concurrency); build() and filtered() run it. Unlike build(), which
+  /// keeps graphs under 32k edges sequential, an explicit width here is
+  /// honored on any graph, so differentials can drive the chunked sweep on
+  /// small inputs. Each state writes only its own masks (the silent-ε
+  /// closure stays sequential), so the result is byte-identical at any
+  /// width. The closure walks predecessors, so on a spec with a silent
+  /// transition this derives the transpose first if the graph has none.
   void recompute_excitation(int threads = 1);
 
  private:
@@ -301,6 +323,7 @@ class StateGraph {
     std::vector<int> edge_transition;
     std::vector<int> edge_successor;
     // Reverse CSR (transpose): in-edges of state s, same parallel layout.
+    // Empty until rebuild_reverse_csr() derives it.
     std::vector<int> in_row;
     std::vector<int> in_transition;
     std::vector<int> in_source;
@@ -312,24 +335,33 @@ class StateGraph {
   /// The arrays, copied first if another graph shares them — the one way
   /// the mutators reach them.
   Arrays& own_arrays();
+  bool has_transpose() const { return !arrays_->in_row.empty(); }
 
   Stg stg_;
   std::shared_ptr<MarkingArena> arena_;
   std::shared_ptr<Arrays> arrays_ = std::make_shared<Arrays>();
   std::vector<int> level_sizes_;  ///< BFS frontier size per level (build only)
 
+  /// Signal initial values inferred by exploration: bit s of `value` is
+  /// signal s's initial value where bit s of `known` is set.
+  struct InitialValues {
+    std::uint64_t known = 0, value = 0;
+  };
+
   // Exploration phase of build() on a fresh arena in the row format of
   // `Game`: fill the states, the out CSR and level_sizes_, with each
-  // state's switching parity standing in its code; v0 accumulates
-  // initial-value constraints. Returns false when a firing leaves the row
+  // state's switching parity standing in its code, and store the inferred
+  // initial values in *v0. Returns false when a firing leaves the row
   // format (build() then starts over on byte rows).
   template <typename Game>
-  bool explore(const SgOptions& opts, std::vector<signed char>* v0);
+  bool explore(const SgOptions& opts, InitialValues* v0);
 };
 
 /// Full structural equality through the public API: states (marking, code),
-/// both CSR directions, old-state maps, excitation masks, levels. Used by
-/// the incremental-reduce cross-check and the determinism tests.
+/// the forward CSR, old-state maps, excitation masks, levels. The transpose
+/// is derived from the forward CSR, so it is not compared (graphs need not
+/// hold one). Used by the incremental-reduce cross-check and the
+/// determinism tests.
 bool identical_graphs(const StateGraph& a, const StateGraph& b);
 
 }  // namespace rtcad

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -20,8 +21,41 @@ namespace rtcad {
 /// Token counts per place, indexed by place id.
 using Marking = std::vector<std::uint8_t>;
 
-std::size_t marking_hash(const std::uint8_t* m, std::size_t n);
-std::size_t marking_hash(const Marking& m);
+// Word-at-a-time: one multiply per 8 bytes (the tail word zero-padded, read
+// with exactly n - i bytes), then one avalanche. Each step is a bijection of
+// the running state for a fixed word and of the word for a fixed state, so
+// markings that differ in any one byte always hash apart. Inline, because
+// the state-graph explore loop hashes every successor row with it.
+inline std::size_t marking_hash(const std::uint8_t* m, std::size_t n) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = 0x243f6a8885a308d3ull ^ n;
+  const auto mix = [&](std::uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, m + i, 8);
+    mix(word);
+  }
+  if (i < n) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, m + i, n - i);
+    mix(word);
+  }
+  // MurmurHash3's fmix64 finalizer: the visited table indexes by low bits.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
+
+inline std::size_t marking_hash(const Marking& m) {
+  return marking_hash(m.data(), m.size());
+}
 
 struct StgPlace {
   std::string name;

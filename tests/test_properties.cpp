@@ -105,12 +105,15 @@ TEST_P(CorpusTest, IdentityFilterIsEdgeForEdgeIdentical) {
 TEST_P(CorpusTest, PredecessorCsrIsExactTranspose) {
   // The reverse adjacency must be the transpose of the forward CSR: the
   // same (from, transition, to) multiset, with in-degrees summing to the
-  // edge count. Checked on the full graph and on a reduced one.
-  const StateGraph full = StateGraph::build(GetParam().make());
+  // edge count. Checked on the full graph and on a reduced one, each
+  // after rebuild_reverse_csr() (a graph holds a transpose only then, or
+  // when its spec has a silent transition).
+  StateGraph full = StateGraph::build(GetParam().make());
   GenerateOptions g;
   g.outputs_beat_inputs = true;
-  const StateGraph reduced =
-      reduce(full, generate_assumptions(full, g)).sg;
+  StateGraph reduced = reduce(full, generate_assumptions(full, g)).sg;
+  full.rebuild_reverse_csr();
+  reduced.rebuild_reverse_csr();
   for (const StateGraph* sg : {&full, &reduced}) {
     std::vector<std::array<int, 3>> fwd, rev;
     sg->for_each_edge(

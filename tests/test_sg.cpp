@@ -148,6 +148,23 @@ z- a+
   const int s1 = sg.successor(0, Edge{stg.signal_id("a"), Polarity::kRise});
   ASSERT_GE(s1, 0);
   EXPECT_TRUE(sg.excited(s1, Edge{stg.signal_id("z"), Polarity::kRise}));
+  // The closure walks predecessors, so this graph holds a transpose.
+  ASSERT_EQ(sg.in_degree(s1), 1);
+  EXPECT_EQ(sg.in_edges(s1)[0].state, 0);
+}
+
+// Without a silent transition, build() derives no transpose, and the
+// predecessor accessors never derive one themselves (threads share const
+// graphs): reading predecessors before rebuild_reverse_csr() fails the
+// precondition instead of reading past an empty array.
+TEST(StateGraphDeathTest, PredecessorsNeedATranspose) {
+  StateGraph sg = StateGraph::build(celement_stg());
+  EXPECT_DEATH(sg.in_edges(0), "precondition");
+  EXPECT_DEATH(sg.in_degree(0), "precondition");
+  sg.rebuild_reverse_csr();
+  int in_degree_sum = 0;
+  for (int s = 0; s < sg.num_states(); ++s) in_degree_sum += sg.in_degree(s);
+  EXPECT_EQ(in_degree_sum, sg.num_edges());
 }
 
 TEST(Analysis, CelementIsCleanAndPersistent) {
