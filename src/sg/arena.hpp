@@ -2,12 +2,13 @@
 // contiguous fixed-stride byte buffer. The seed representation paid a
 // std::vector header plus a separate heap allocation per state — dominant
 // above 10^6 states; here a state's marking is row `slot` of one flat
-// array, so SgState shrinks to an offset + code and the whole marking
-// store is one allocation.
+// array, a build appends one row per state (so slot == state id), and the
+// whole marking store is one GrowBuf (util/growbuf.hpp), which a big graph
+// extends in place instead of copying.
 //
 // The arena is also the build's visited set's key store. The visited table
 // (stategraph.cpp) keeps only an 8-byte slot per state, a 32-bit hash tag
-// and the state id (== slot during a build): a probe that matches the tag
+// and the state id, which is its row: a probe that matches the tag
 // compares the candidate against row(id), and a regrow re-hashes rows
 // 0..size-1 in id order instead of keeping hashes. So the explore loop
 // appends each inserted state's row before the table's next probe.
@@ -28,18 +29,18 @@
 //
 // Ownership: the root (build) StateGraph owns the arena through a
 // shared_ptr; graphs produced by filtered() share it and address rows
-// through their root-state slots, so a reduction chain adds zero marking
+// through their root state ids, so a reduction chain adds zero marking
 // copies no matter how many rounds it runs.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "stg/stg.hpp"
 #include "util/check.hpp"
+#include "util/growbuf.hpp"
 
 namespace rtcad {
 
@@ -61,10 +62,6 @@ class MarkingArena {
   /// Bytes held by the marking rows — the arena half of the memory gauge
   /// (states × stride).
   std::size_t bytes() const { return data_.size(); }
-
-  void reserve(std::size_t rows) {
-    data_.reserve(rows * static_cast<std::size_t>(stride_));
-  }
 
   /// Write `m` (one token count per place) as a row of stride() bytes at
   /// `out`. Bit rows require every count to be 0 or 1.
@@ -102,10 +99,11 @@ class MarkingArena {
 
   /// Append one row (exactly `stride` bytes); returns its slot.
   std::uint32_t append(const std::uint8_t* row) {
-    data_.insert(data_.end(), row, row + stride_);
+    data_.append(row, static_cast<std::size_t>(stride_));
     return count_++;
   }
 
+  /// Row `slot`, valid until the next append (which may move the buffer).
   const std::uint8_t* row(std::uint32_t slot) const {
     return data_.data() + static_cast<std::size_t>(slot) * stride_;
   }
@@ -150,7 +148,7 @@ class MarkingArena {
   Format format_ = Format::kBytes;
   int stride_ = 0;
   std::uint32_t count_ = 0;
-  std::vector<std::uint8_t> data_;
+  GrowBuf<std::uint8_t> data_;
 };
 
 }  // namespace rtcad

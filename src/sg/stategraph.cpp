@@ -27,7 +27,7 @@ static_assert(std::has_single_bit(kInitialMaskSets));
 // two distinct states), so the table keys on the marking, and the parity a
 // state keeps in its code field until build() applies v0 completes the
 // packed key. The marking bytes live once in the graph's MarkingArena
-// (slot == state id during a build), so a slot is 8 bytes: the high half of
+// (row == state id during a build), so a slot is 8 bytes: the high half of
 // the row's hash as a tag, and the state id. A probe compares one arena row
 // only on a tag hit. Growing frees the old slots before it allocates the new
 // ones, then re-inserts arena rows 0..size-1 in id order, so no two tables
@@ -248,7 +248,7 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   }
 
   // Phase 2: final codes (exploration left each state's parity there).
-  for (SgState& state : sg.arrays_->states) state.code ^= v0_value;
+  for (std::uint64_t& code : sg.arrays_->codes) code ^= v0_value;
 
   sg.recompute_excitation(sg.num_edges() >= kMinParallelEdges ? opts.threads
                                                               : 1);
@@ -264,11 +264,11 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   const Game game(stg, arena);
   const std::size_t stride = static_cast<std::size_t>(arena.stride());
   // A state's code holds its switching parity until build() applies v0.
-  std::vector<SgState>& states = arrays_->states;
-  std::vector<int>& out_row = arrays_->out_row;
-  std::vector<int>& edge_transition = arrays_->edge_transition;
-  std::vector<int>& edge_successor = arrays_->edge_successor;
-  states.clear();
+  GrowBuf<std::uint64_t>& codes = arrays_->codes;
+  GrowBuf<int>& out_row = arrays_->out_row;
+  GrowBuf<int>& edge_transition = arrays_->edge_transition;
+  GrowBuf<int>& edge_successor = arrays_->edge_successor;
+  codes.clear();
   out_row.clear();
   edge_transition.clear();
   edge_successor.clear();
@@ -332,7 +332,8 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
 
   VisitedTable index;
   arena.encode(stg.initial_marking(), row_bytes);
-  states.push_back(SgState{0, arena.append(row_bytes)});
+  arena.append(row_bytes);
+  codes.push_back(0);
   {
     const auto seeded = index.find_or_insert(
         row_bytes, marking_hash(row_bytes, stride), 0, arena);
@@ -353,19 +354,19 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   // at each level boundary below.
   if (opts.cancel) opts.cancel->check("state-graph build");
 
-  for (int si = 0; si < static_cast<int>(states.size()); ++si) {
+  for (int si = 0; si < static_cast<int>(codes.size()); ++si) {
     if (static_cast<std::size_t>(si) == level_boundary) {
       level_sizes_.push_back(static_cast<int>(level_boundary - level_begin));
       level_begin = level_boundary;
-      level_boundary = states.size();
+      level_boundary = codes.size();
       if (opts.cancel) opts.cancel->check("state-graph build");
     }
     out_row.push_back(static_cast<int>(edge_transition.size()));
-    std::copy_n(arena.row(states[si].slot), stride, row_bytes);
+    std::copy_n(arena.row(static_cast<std::uint32_t>(si)), stride, row_bytes);
     std::copy_n(ring.data() + ring_head * mask_words, mask_words, enabled);
     ring_head = (ring_head + 1) & (ring_sets - 1);
     --ring_count;
-    const std::uint64_t par = states[si].code;
+    const std::uint64_t par = codes[si];
 
     // Pass 1: fire every enabled transition, in ascending order, into an
     // entry, and prefetch each successor's visited-table slot, so pass 2's
@@ -412,14 +413,15 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
         }
       }
       const auto* next = reinterpret_cast<const std::uint8_t*>(entry + 2);
-      const int candidate_id = static_cast<int>(states.size());
+      const int candidate_id = static_cast<int>(codes.size());
       const auto [succ_id, inserted] =
           index.find_or_insert(next, entry[1], candidate_id, arena);
       if (inserted) {
-        if (states.size() >= opts.max_states)
+        if (codes.size() >= opts.max_states)
           throw SpecError("state graph of '" + stg.name() + "' exceeds " +
                           std::to_string(opts.max_states) + " states");
-        states.push_back(SgState{next_par, arena.append(next)});
+        codes.push_back(next_par);
+        arena.append(next);
         // Its enabled set is this state's, with the transitions that t
         // affects tested again on the new row.
         const std::uint64_t* affects = affected + t * mask_words;
@@ -432,7 +434,7 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
             if (game.enabled(next_row, u)) set[w] |= bits & -bits;
           }
         }
-      } else if (states[succ_id].code != next_par) {
+      } else if (codes[succ_id] != next_par) {
         throw SpecError("STG '" + stg.name() +
                         "' is inconsistent: switching parity differs "
                         "between paths to the same marking");
@@ -442,7 +444,7 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
     }
   }
   out_row.push_back(static_cast<int>(edge_transition.size()));
-  level_sizes_.push_back(static_cast<int>(states.size() - level_begin));
+  level_sizes_.push_back(static_cast<int>(codes.size() - level_begin));
   *v0_out = InitialValues{v0_known, v0_value};
   return true;
 }
@@ -556,7 +558,7 @@ StateGraph StateGraph::filtered(
   StateGraph out;
   out.stg_ = stg_;
   // The reduced graph shares the root arena: its states keep their root
-  // slots, so a reduction chain adds no marking copies at all.
+  // ids in old_state, so a reduction chain adds no marking copies at all.
   out.arena_ = arena_;
 
   // Single counting pass: BFS from the initial state over the kept edges,
@@ -568,7 +570,7 @@ StateGraph StateGraph::filtered(
   // remapped in one sweep once every new id is known.
   const Arrays& src = *arrays_;
   Arrays& dst = *out.arrays_;
-  std::vector<int> new_id(src.states.size(), -1);
+  std::vector<int> new_id(src.codes.size(), -1);
   std::vector<int> order;  // new id -> old id, in BFS discovery order
   order.push_back(0);
   new_id[0] = 0;
@@ -588,10 +590,10 @@ StateGraph StateGraph::filtered(
     dst.out_row.push_back(static_cast<int>(dst.edge_transition.size()));
   }
   for (int& to : dst.edge_successor) to = new_id[to];
-  dst.states.reserve(order.size());
+  dst.codes.reserve(order.size());
   dst.old_state.reserve(order.size());
   for (const int old_s : order) {
-    dst.states.push_back(src.states[old_s]);
+    dst.codes.push_back(src.codes[old_s]);
     dst.old_state.push_back(old_state_of(old_s));
   }
   out.recompute_excitation();

@@ -38,6 +38,7 @@
 #include "sg/arena.hpp"
 #include "stg/stg.hpp"
 #include "util/cancel.hpp"
+#include "util/growbuf.hpp"
 
 namespace rtcad {
 
@@ -57,16 +58,6 @@ struct SgOptions {
   /// Optional cooperative cancellation, checked once per BFS round. Not
   /// owned; must outlive the build.
   const CancelToken* cancel = nullptr;
-};
-
-/// Per-state record: the marking itself lives in the shared MarkingArena
-/// (one contiguous fixed-stride buffer), so a state is just its arena slot
-/// plus the signal code — 16 bytes instead of a vector header and a heap
-/// allocation per state. For build graphs slot == state id; graphs produced
-/// by filtered() carry their root-graph slots and share the root arena.
-struct SgState {
-  std::uint64_t code = 0;  ///< bit s = value of signal s
-  std::uint32_t slot = 0;  ///< row in the owning graph's MarkingArena
 };
 
 /// One adjacency entry: the transition labelling the edge plus the state on
@@ -152,15 +143,17 @@ class StateGraph {
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }
-  int num_states() const { return static_cast<int>(arrays_->states.size()); }
+  int num_states() const { return static_cast<int>(arrays_->codes.size()); }
   int initial_state() const { return 0; }
 
   /// Marking of state `i`, decoded from its arena row into token counts.
-  /// For cold paths (tests, diagnostics).
+  /// A build appends one row per state, so the row of state `i` is its
+  /// root state's id, old_state_of(i). For cold paths (tests, diagnostics).
   Marking marking_copy(int i) const {
-    return arena_->copy(arrays_->states[i].slot);
+    return arena_->copy(static_cast<std::uint32_t>(old_state_of(i)));
   }
-  std::uint64_t code(int i) const { return arrays_->states[i].code; }
+  /// Signal code of state `i`: bit s is the value of signal s.
+  std::uint64_t code(int i) const { return arrays_->codes[i]; }
   bool value(int state, int signal) const {
     return (code(state) >> signal) & 1;
   }
@@ -313,15 +306,16 @@ class StateGraph {
 
  private:
   /// Everything sized by the state or edge count, in one block that copies
-  /// of the graph share.
+  /// of the graph share. The arrays build() and filtered() append to are
+  /// GrowBufs, which extend in place; the rest are sized once.
   struct Arrays {
-    std::vector<SgState> states;
+    GrowBuf<std::uint64_t> codes;  ///< per state: its signal code
     std::vector<int> old_state;  ///< for filtered graphs: new id -> original
     // Forward CSR: out-edges of state s are entries out_row[s]..out_row[s+1]
     // of the parallel transition/successor arrays.
-    std::vector<int> out_row;
-    std::vector<int> edge_transition;
-    std::vector<int> edge_successor;
+    GrowBuf<int> out_row;
+    GrowBuf<int> edge_transition;
+    GrowBuf<int> edge_successor;
     // Reverse CSR (transpose): in-edges of state s, same parallel layout.
     // Empty until rebuild_reverse_csr() derives it.
     std::vector<int> in_row;
@@ -349,7 +343,7 @@ class StateGraph {
   };
 
   // Exploration phase of build() on a fresh arena in the row format of
-  // `Game`: fill the states, the out CSR and level_sizes_, with each
+  // `Game`: fill the codes, the out CSR and level_sizes_, with each
   // state's switching parity standing in its code, and store the inferred
   // initial values in *v0. Returns false when a firing leaves the row
   // format (build() then starts over on byte rows).

@@ -1,9 +1,9 @@
 // MarkingArena: the contiguous fixed-stride marking store behind every
 // StateGraph. Covers the container itself (both row formats: stride,
-// append/row, encode/decode), the build integration (slot == state id,
+// append/row, encode/decode), the build integration (row == state id,
 // rows match a reference replay, the row format picked from the input)
 // and the filtered() contract: reduced graphs share the root arena and
-// address rows through root slots, adding zero marking bytes per
+// address rows through root state ids, adding zero marking bytes per
 // reduction round.
 #include <gtest/gtest.h>
 
@@ -93,23 +93,26 @@ TEST(MarkingArena, BitRowsRoundTripAcrossWordBoundaries) {
 }
 
 TEST(MarkingArena, RowsSurviveReallocation) {
-  // 70 places: a bit row spans two words.
+  // 70 places: a bit row spans two words. 70,000 rows are 1.1 MB of bit
+  // rows and 4.9 MB of byte rows, so in both formats the rows move from a
+  // malloc block into a mapping and then grow inside it.
+  constexpr int kRows = 70'000;
   for (const Format format : {Format::kBytes, Format::kBits}) {
     MarkingArena arena(70, format);
-    std::vector<Marking> reference;
     std::vector<std::uint8_t> row(static_cast<std::size_t>(arena.stride()));
-    for (int i = 0; i < 1000; ++i) {
-      reference.push_back(pattern_marking(70, i));
-      arena.encode(reference.back(), row.data());
+    for (int i = 0; i < kRows; ++i) {
+      arena.encode(pattern_marking(70, i), row.data());
       ASSERT_EQ(arena.append(row.data()), static_cast<std::uint32_t>(i));
     }
-    EXPECT_EQ(arena.bytes(), 1000u * static_cast<std::size_t>(arena.stride()));
-    for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(arena.bytes(),
+              std::size_t{kRows} * static_cast<std::size_t>(arena.stride()));
+    EXPECT_GT(arena.bytes(), GrowBuf<std::uint8_t>::kMapBytes);
+    for (int i = 0; i < kRows; ++i) {
       const auto slot = static_cast<std::uint32_t>(i);
-      const Marking& m = reference[static_cast<std::size_t>(i)];
+      const Marking m = pattern_marking(70, i);
       arena.encode(m, row.data());
-      EXPECT_TRUE(arena.row_equals(slot, row.data())) << "row " << i;
-      EXPECT_EQ(arena.copy(slot), m) << "row " << i;
+      ASSERT_TRUE(arena.row_equals(slot, row.data())) << "row " << i;
+      ASSERT_EQ(arena.copy(slot), m) << "row " << i;
     }
   }
 }
@@ -171,7 +174,7 @@ TEST(StateGraphArena, FilteredGraphSharesRootArenaAndRemapsSlots) {
   }
 
   // A second-level filter (chained reduction) still addresses the ROOT
-  // arena: old_state_of composes, and so do the slots.
+  // arena: old_state_of composes, and it names the row.
   const StateGraph twice =
       red.sg.filtered([](int, int) { return true; });
   EXPECT_EQ(twice.arena_bytes(), sg.arena_bytes());

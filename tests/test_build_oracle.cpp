@@ -13,9 +13,10 @@
 // corpus, 200 seeded random specs at two state caps (including
 // token-bound, inconsistency and state-cap errors), ring9 (the bit attempt
 // is abandoned early), fifo_2slot (byte rows from the initial marking),
-// pipeline12, and a 1-safe net of more than 128 places and transitions
-// whose tokens cross the 64-bit word boundaries of a bit row and whose
-// transition ids cross those of an enabled set.
+// pipeline12, pipeline16 and ring16 (arrays past GrowBuf's mapping
+// threshold, on bit and byte rows), and a 1-safe net of more than 128
+// places and transitions whose tokens cross the 64-bit word boundaries of a
+// bit row and whose transition ids cross those of an enabled set.
 //
 // build() expands a state in two passes: it fires every enabled transition
 // first, then probes and inserts the successors in transition order. Two
@@ -210,6 +211,13 @@ TEST(BuildOracle, GeneratedSpecsMatchReference) {
   EXPECT_TRUE(has_multi_token_marking(expect_same_build(ring_stg(9), "ring9")));
   EXPECT_FALSE(has_multi_token_marking(
       expect_same_build(pipeline_stg(12), "pipeline12")));
+  // Graphs whose arrays grow past GrowBuf's mapping threshold, one per row
+  // format: pipeline16 (bit rows, 131,072 states, 622,592 edges, so 2.5 MB
+  // per edge array) and ring16 (byte rows, 112,606 states, a 7.2 MB arena).
+  EXPECT_FALSE(has_multi_token_marking(
+      expect_same_build(pipeline_stg(16), "pipeline16")));
+  EXPECT_TRUE(
+      has_multi_token_marking(expect_same_build(ring_stg(16), "ring16")));
 }
 
 TEST(BuildOracle, WordBoundariesMatchReference) {
