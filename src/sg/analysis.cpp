@@ -5,6 +5,25 @@
 
 namespace rtcad {
 
+namespace {
+
+// Whether no two states share a code, read off a bitmap over the codes' low
+// `key_bits` bits (every bit above them is the same in all codes). Stops at
+// the first repeat.
+bool codes_unique(const StateGraph& sg, int key_bits) {
+  std::vector<std::uint64_t> seen(((std::size_t{1} << key_bits) + 63) / 64);
+  const std::uint64_t key_mask = (std::uint64_t{1} << key_bits) - 1;
+  for (int s = 0; s < sg.num_states(); ++s) {
+    const std::uint64_t key = sg.code(s) & key_mask;
+    const std::uint64_t bit = std::uint64_t{1} << (key % 64);
+    if (seen[key / 64] & bit) return false;
+    seen[key / 64] |= bit;
+  }
+  return true;
+}
+
+}  // namespace
+
 SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported) {
   const Stg& stg = sg.stg();
   const int n = sg.num_states();
@@ -69,27 +88,31 @@ SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported) {
 
   // --- complete state coding -------------------------------------------
   // Within a code class, all states must agree on the next-state target of
-  // every non-input signal. A stable LSD radix sort of the state ids keyed
-  // on the code lays the classes out in code order, each in ascending state
-  // order. A digit is at most as many bits as the state count has, so the
-  // bucket counts take no more room than the ids, and codes no wider than
-  // that (pipeline19's 20 bits) sort in one pass. Bits equal in every code
-  // order nothing and are left out.
-  std::uint64_t noninput_mask = 0;
-  for (int sig = 0; sig < stg.num_signals(); ++sig) {
-    if (!stg.is_input(sig)) noninput_mask |= std::uint64_t{1} << sig;
-  }
+  // every non-input signal. Bits equal in every code order nothing and are
+  // left out of the key.
   std::uint64_t any = 0, all = ~std::uint64_t{0};
   for (int s = 0; s < n; ++s) {
     any |= sg.code(s);
     all &= sg.code(s);
   }
   const int key_bits = std::bit_width(any & ~all);
+  const int state_bits = std::bit_width(static_cast<unsigned>(n));
+  // Codes that never repeat form no class. When the key space is small next
+  // to the state count (a bitmap of at most 2 bytes a state: 128 KB for
+  // pipeline19's 20-bit codes), one pass over it shows that, and the sort
+  // below and its scratch are skipped.
+  if (key_bits <= state_bits + 3 && codes_unique(sg, key_bits)) return out;
+
+  // A stable LSD radix sort of the state ids keyed on the code lays the
+  // classes out in code order, each in ascending state order. A digit is at
+  // most as many bits as the state count has, so the bucket counts take no
+  // more room than the ids, and codes no wider than that sort in one pass.
+  std::uint64_t noninput_mask = 0;
+  for (int sig = 0; sig < stg.num_signals(); ++sig) {
+    if (!stg.is_input(sig)) noninput_mask |= std::uint64_t{1} << sig;
+  }
   const int passes =
-      key_bits == 0
-          ? 0
-          : (key_bits + std::bit_width(static_cast<unsigned>(n)) - 1) /
-                std::bit_width(static_cast<unsigned>(n));
+      key_bits == 0 ? 0 : (key_bits + state_bits - 1) / state_bits;
   const int digit_bits = passes == 0 ? 0 : (key_bits + passes - 1) / passes;
   const std::size_t buckets = std::size_t{1} << digit_bits;
   // One buffer: the ids, the scatter target, the bucket counts.

@@ -53,12 +53,13 @@ struct SgAnalysis {
 /// a violation, and only such a state runs the pairwise edge loop that
 /// reports.
 ///
-/// CSC: a stable LSD radix sort of the state ids keyed on the code groups
-/// the code classes, with digits of at most bit_width(states) bits (one
-/// pass when the codes vary in no more bits than that, several for wide
-/// codes). Only classes of two or more states are then sorted by (target
-/// signature, state). Scratch: two id arrays and at most 2 × states bucket
-/// counts, 4 bytes each.
+/// CSC: when the codes vary in at most bit_width(states) + 3 bits, a bitmap
+/// over them (at most 2 bytes a state) first checks whether any code
+/// repeats; with none there is no class to sort. Otherwise a stable LSD
+/// radix sort of the state ids keyed on the code groups the code classes,
+/// with digits of at most bit_width(states) bits (one pass when the codes
+/// vary in no more bits than that, several for wide codes). Only classes of
+/// two or more states are then sorted by (target signature, state).
 SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported = 1000);
 
 /// Render one conflict for logs/tests.

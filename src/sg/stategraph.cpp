@@ -195,6 +195,17 @@ class ByteGame {
   int width_;
 };
 
+// The label table the explore loop and the excitation sweep read: two words
+// per transition at `out`, the bit of its signal in the first for a rising
+// edge and in the second for a falling one, both 0 for a silent transition.
+void write_labels(const Stg& stg, std::uint64_t* out) {
+  for (int t = 0; t < stg.num_transitions(); ++t, out += 2) {
+    out[0] = out[1] = 0;
+    if (const auto& label = stg.transition(t).label)
+      out[label->pol == Polarity::kFall] = std::uint64_t{1} << label->signal;
+  }
+}
+
 // Enabled sets: a state's set has bit t % 64 of word t / 64 set when
 // transition t is enabled there. Firing t moves tokens only on pre(t) and
 // post(t), so only the transitions consuming from one of those places can
@@ -215,7 +226,7 @@ void write_affected(const Stg& stg, std::size_t words, std::uint64_t* out) {
 }  // namespace
 
 StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
-  RTCAD_EXPECTS(stg.num_signals() <= Stg::kMaxSignals);
+  stg.check_limits();
   StateGraph sg;
   sg.stg_ = stg;
 
@@ -233,11 +244,12 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // the same order up to that firing, so the graph and any error are the
   // same either way.
   InitialValues v0;
+  std::vector<std::uint64_t> scratch;
   bool one_safe = true;
   for (int p = 0; p < stg.num_places(); ++p)
     one_safe = one_safe && stg.place(p).initial_tokens <= 1;
-  if (!one_safe || !sg.explore<BitGame>(opts, &v0))
-    sg.explore<ByteGame>(opts, &v0);
+  if (!one_safe || !sg.explore<BitGame>(opts, &scratch, &v0))
+    sg.explore<ByteGame>(opts, &scratch, &v0);
 
   // Signals with an explicitly declared initial value win over inference
   // only when inference produced no constraint.
@@ -250,13 +262,16 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // Phase 2: final codes (exploration left each state's parity there).
   for (std::uint64_t& code : sg.arrays_->codes) code ^= v0_value;
 
-  sg.recompute_excitation(sg.num_edges() >= kMinParallelEdges ? opts.threads
-                                                              : 1);
+  // The explore loop's scratch starts with its label table.
+  sg.sweep_excitation(scratch.data(),
+                      sg.num_edges() >= kMinParallelEdges ? opts.threads : 1);
   return sg;
 }
 
 template <typename Game>
-bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
+bool StateGraph::explore(const SgOptions& opts,
+                         std::vector<std::uint64_t>* scratch,
+                         InitialValues* v0_out) {
   using Word = typename Game::Word;
   const Stg& stg = stg_;
   arena_ = std::make_shared<MarkingArena>(stg.num_places(), Game::kFormat);
@@ -266,7 +281,7 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   // A state's code holds its switching parity until build() applies v0.
   GrowBuf<std::uint64_t>& codes = arrays_->codes;
   GrowBuf<int>& out_row = arrays_->out_row;
-  GrowBuf<int>& edge_transition = arrays_->edge_transition;
+  GrowBuf<std::uint16_t>& edge_transition = arrays_->edge_transition;
   GrowBuf<int>& edge_successor = arrays_->edge_successor;
   codes.clear();
   out_row.clear();
@@ -278,10 +293,10 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   std::uint64_t v0_known = 0, v0_value = 0;
 
   // One scratch buffer for the whole exploration, in five parts:
+  //  * `labels`: the label table (see write_labels), so pass 2 checks
+  //    initial values and flips parities without reading the Stg; build()
+  //    hands it on to the excitation sweep;
   //  * `affected`: each transition's affected set (see write_affected);
-  //  * `labels`: two words per transition, its signal's bit and that bit
-  //    again if it is a falling edge (both 0 if it is silent), so pass 2
-  //    checks initial values and flips parities without reading the Stg;
   //  * `enabled` and `row`: the enabled set and the row of the state being
   //    expanded, copied out as words;
   //  * `fired`: pass 1's entries, one per enabled transition: the
@@ -290,22 +305,17 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
   const std::size_t mask_words = (num_transitions + 63) / 64;
   const std::size_t row_words = (stride + 7) / 8;
   const std::size_t entry_words = 2 + row_words;
-  std::vector<std::uint64_t> scratch((num_transitions + 1) * mask_words +
-                                     2 * num_transitions + row_words +
-                                     num_transitions * entry_words);
-  std::uint64_t* const affected = scratch.data();
-  std::uint64_t* const labels = affected + num_transitions * mask_words;
-  std::uint64_t* const enabled = labels + 2 * num_transitions;
+  scratch->assign(2 * num_transitions + (num_transitions + 1) * mask_words +
+                      row_words + num_transitions * entry_words,
+                  0);
+  std::uint64_t* const labels = scratch->data();
+  std::uint64_t* const affected = labels + 2 * num_transitions;
+  std::uint64_t* const enabled = affected + num_transitions * mask_words;
   Word* const row = reinterpret_cast<Word*>(enabled + mask_words);
   auto* const row_bytes = reinterpret_cast<std::uint8_t*>(row);
   std::uint64_t* const fired = enabled + mask_words + row_words;
+  write_labels(stg, labels);
   write_affected(stg, mask_words, affected);
-  for (int t = 0; t < num_transitions; ++t) {
-    if (const auto& label = stg.transition(t).label) {
-      labels[2 * t] = std::uint64_t{1} << label->signal;
-      if (label->pol == Polarity::kFall) labels[2 * t + 1] = labels[2 * t];
-    }
-  }
 
   // The enabled sets of the states discovered but not yet expanded, in id
   // order: a ring of `ring_sets` sets (a power of two) of mask_words words,
@@ -395,8 +405,9 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
       const int t = static_cast<int>(entry[0]);
       // v(s) at this state is v0(s) ^ parity(s), and s+ needs v = 0, s-
       // v = 1: so firing t requires v0(s) = parity(s) ^ [t is s-].
-      const std::uint64_t bit = labels[2 * t];
-      const std::uint64_t required = (par ^ labels[2 * t + 1]) & bit;
+      const std::uint64_t fall = labels[2 * t + 1];
+      const std::uint64_t bit = labels[2 * t] | fall;
+      const std::uint64_t required = (par ^ fall) & bit;
       if ((v0_value ^ required) & v0_known & bit)
         throw_contradictory(stg, std::countr_zero(bit));
       v0_known |= bit;
@@ -439,7 +450,8 @@ bool StateGraph::explore(const SgOptions& opts, InitialValues* v0_out) {
                         "' is inconsistent: switching parity differs "
                         "between paths to the same marking");
       }
-      edge_transition.push_back(t);
+      // build() checked t < Stg::kMaxTransitions.
+      edge_transition.push_back(static_cast<std::uint16_t>(t));
       edge_successor.push_back(succ_id);
     }
   }
@@ -478,26 +490,33 @@ void StateGraph::rebuild_reverse_csr(int /*threads*/) {
 }
 
 void StateGraph::recompute_excitation(int threads) {
+  std::vector<std::uint64_t> labels(
+      2 * static_cast<std::size_t>(stg_.num_transitions()));
+  write_labels(stg_, labels.data());
+  sweep_excitation(labels.data(), threads);
+}
+
+void StateGraph::sweep_excitation(const std::uint64_t* labels, int threads) {
   Arrays& a = own_arrays();
   const int n = num_states();
   std::vector<std::uint64_t>& excited_rise = a.excited_rise;
   std::vector<std::uint64_t>& excited_fall = a.excited_fall;
   excited_rise.assign(n, 0);
   excited_fall.assign(n, 0);
-  // Direct enablement: a linear sweep over the flat edge array. Each state
-  // writes only its own masks, so the chunked parallel sweep is trivially
-  // deterministic.
+  // Direct enablement: a linear sweep over the flat edge array that ORs
+  // each edge's (rise, fall) label words and writes a state's masks once.
+  // Each state writes only its own masks, so the chunked parallel sweep is
+  // trivially deterministic.
   const auto direct_sweep = [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
+      std::uint64_t rise = 0, fall = 0;
       for (int e = a.out_row[s]; e < a.out_row[s + 1]; ++e) {
-        if (const auto& label = stg_.transition(a.edge_transition[e]).label) {
-          const std::uint64_t bit = std::uint64_t{1} << label->signal;
-          if (label->pol == Polarity::kRise)
-            excited_rise[s] |= bit;
-          else
-            excited_fall[s] |= bit;
-        }
+        const std::uint64_t* label = labels + 2 * a.edge_transition[e];
+        rise |= label[0];
+        fall |= label[1];
       }
+      excited_rise[s] = rise;
+      excited_fall[s] = fall;
     }
   };
   const int workers = WorkPool::effective_threads(threads);

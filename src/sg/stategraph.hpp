@@ -13,7 +13,8 @@
 // state s. Every downstream pass — excitation closure, RT concurrency
 // reduction, conformance, synthesis — is an edge traversal, so the flat
 // layout removes the per-state vector allocation and pointer chase the
-// seed representation paid on each of them.
+// seed representation paid on each of them. A transition id takes 16 bits
+// there (Stg::kMaxTransitions), so an edge costs 6 bytes.
 //
 // Predecessors come from a transpose (`in_row` / `in_transition` /
 // `in_source`) that a graph holds only once rebuild_reverse_csr() has
@@ -75,7 +76,7 @@ class StateGraph {
    public:
     class iterator {
      public:
-      iterator(const int* t, const int* s) : t_(t), s_(s) {}
+      iterator(const std::uint16_t* t, const int* s) : t_(t), s_(s) {}
       SgEdge operator*() const { return SgEdge{*t_, *s_}; }
       iterator& operator++() {
         ++t_;
@@ -86,10 +87,11 @@ class StateGraph {
       bool operator==(const iterator& o) const { return t_ == o.t_; }
 
      private:
-      const int* t_;
+      const std::uint16_t* t_;
       const int* s_;
     };
-    EdgeRange(const int* t, const int* s, int n) : t_(t), s_(s), n_(n) {}
+    EdgeRange(const std::uint16_t* t, const int* s, int n)
+        : t_(t), s_(s), n_(n) {}
     iterator begin() const { return iterator(t_, s_); }
     iterator end() const { return iterator(t_ + n_, s_ + n_); }
     int size() const { return n_; }
@@ -97,14 +99,15 @@ class StateGraph {
     SgEdge operator[](int i) const { return SgEdge{t_[i], s_[i]}; }
 
    private:
-    const int* t_;
+    const std::uint16_t* t_;
     const int* s_;
     int n_;
   };
 
   /// Explore the full reachability graph. Throws SpecError on
-  /// inconsistency, unboundedness, or state overflow. The StateGraph keeps
-  /// its own copy of the specification (callers may pass temporaries).
+  /// inconsistency, unboundedness, or state overflow, and on a
+  /// specification past Stg::check_limits(). The StateGraph keeps its own
+  /// copy of the specification (callers may pass temporaries).
   ///
   /// The exploration loop is the flow's hot path (stategraph.cpp). It runs
   /// its own token game, compiled once per build for the arena's row
@@ -131,8 +134,8 @@ class StateGraph {
   ///
   /// Neither pass makes an out-of-line call per edge: the hash is inline,
   /// a probe compares bit rows word by word, and pass 2's initial-value
-  /// check and parity flip read a per-transition (signal bit, falling)
-  /// table.
+  /// check and parity flip read a per-transition (rise bit, fall bit)
+  /// table, which the excitation sweep then reads too.
   ///
   /// Exploration runs on the calling thread; only the excitation sweep
   /// fans out, on `opts.threads` workers once the graph has 32k edges.
@@ -199,7 +202,7 @@ class StateGraph {
     const Arrays& a = *arrays_;
     for (int s = 0; s < num_states(); ++s) {
       for (int e = a.out_row[s]; e < a.out_row[s + 1]; ++e)
-        f(s, a.edge_transition[e], a.edge_successor[e]);
+        f(s, static_cast<int>(a.edge_transition[e]), a.edge_successor[e]);
     }
   }
 
@@ -272,15 +275,17 @@ class StateGraph {
   /// Both are exact properties of the graph, identical at any thread count.
   /// The arena gauge is states × row stride. A filtered graph reports the
   /// shared root arena's bytes — that is what actually stays resident. The
-  /// CSR gauge counts the forward CSR and the excitation masks, plus the
-  /// transpose once one has been derived.
+  /// CSR gauge counts the forward CSR (4 bytes a row, 6 an edge) and the
+  /// excitation masks (16 bytes a state), plus the transpose (4 bytes a
+  /// row, 6 an edge) once one has been derived.
   std::size_t arena_bytes() const { return arena_ ? arena_->bytes() : 0; }
   std::size_t csr_bytes() const {
     const Arrays& a = *arrays_;
-    return (a.out_row.size() + a.edge_transition.size() +
-            a.edge_successor.size() + a.in_row.size() +
-            a.in_transition.size() + a.in_source.size()) *
+    return (a.out_row.size() + a.edge_successor.size() + a.in_row.size() +
+            a.in_source.size()) *
                sizeof(int) +
+           (a.edge_transition.size() + a.in_transition.size()) *
+               sizeof(std::uint16_t) +
            (a.excited_rise.size() + a.excited_fall.size()) *
                sizeof(std::uint64_t);
   }
@@ -295,13 +300,14 @@ class StateGraph {
   /// suite passes a width.
   void rebuild_reverse_csr(int threads = 1);
   /// The excitation sweep on `threads` workers (0 picks hardware
-  /// concurrency); build() and filtered() run it. Unlike build(), which
-  /// keeps graphs under 32k edges sequential, an explicit width here is
-  /// honored on any graph, so differentials can drive the chunked sweep on
-  /// small inputs. Each state writes only its own masks (the silent-ε
-  /// closure stays sequential), so the result is byte-identical at any
-  /// width. The closure walks predecessors, so on a spec with a silent
-  /// transition this derives the transpose first if the graph has none.
+  /// concurrency); filtered() runs it, and build() runs the same sweep on
+  /// its explore loop's label table. Unlike build(), which keeps graphs
+  /// under 32k edges sequential, an explicit width here is honored on any
+  /// graph, so differentials can drive the chunked sweep on small inputs.
+  /// Each state writes only its own masks (the silent-ε closure stays
+  /// sequential), so the result is byte-identical at any width. The closure
+  /// walks predecessors, so on a spec with a silent transition this derives
+  /// the transpose first if the graph has none.
   void recompute_excitation(int threads = 1);
 
  private:
@@ -314,12 +320,12 @@ class StateGraph {
     // Forward CSR: out-edges of state s are entries out_row[s]..out_row[s+1]
     // of the parallel transition/successor arrays.
     GrowBuf<int> out_row;
-    GrowBuf<int> edge_transition;
+    GrowBuf<std::uint16_t> edge_transition;
     GrowBuf<int> edge_successor;
     // Reverse CSR (transpose): in-edges of state s, same parallel layout.
     // Empty until rebuild_reverse_csr() derives it.
     std::vector<int> in_row;
-    std::vector<int> in_transition;
+    std::vector<std::uint16_t> in_transition;
     std::vector<int> in_source;
     /// Per-state bitmask over signals: some s+/s- enabled here or reachable
     /// through silent transitions alone.
@@ -330,6 +336,10 @@ class StateGraph {
   /// the mutators reach them.
   Arrays& own_arrays();
   bool has_transpose() const { return !arrays_->in_row.empty(); }
+  /// recompute_excitation() on a label table: two words per transition,
+  /// the bit of its signal in the first for a rising edge and in the
+  /// second for a falling one, both 0 for a silent transition.
+  void sweep_excitation(const std::uint64_t* labels, int threads);
 
   Stg stg_;
   std::shared_ptr<MarkingArena> arena_;
@@ -345,10 +355,13 @@ class StateGraph {
   // Exploration phase of build() on a fresh arena in the row format of
   // `Game`: fill the codes, the out CSR and level_sizes_, with each
   // state's switching parity standing in its code, and store the inferred
-  // initial values in *v0. Returns false when a firing leaves the row
-  // format (build() then starts over on byte rows).
+  // initial values in *v0. The loop's scratch goes in *scratch, which
+  // starts with the label table sweep_excitation() reads. Returns false
+  // when a firing leaves the row format (build() then starts over on byte
+  // rows).
   template <typename Game>
-  bool explore(const SgOptions& opts, InitialValues* v0);
+  bool explore(const SgOptions& opts, std::vector<std::uint64_t>* scratch,
+               InitialValues* v0);
 };
 
 /// Full structural equality through the public API: states (marking, code),

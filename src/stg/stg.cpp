@@ -189,12 +189,20 @@ int Stg::count_edges(int signal, Polarity pol) const {
   return n;
 }
 
-void Stg::validate() const {
-  if (transitions_.empty()) throw SpecError("STG has no transitions");
+void Stg::check_limits() const {
   if (num_signals() > kMaxSignals)
     throw SpecError("STG has " + std::to_string(num_signals()) +
                     " signals; at most " + std::to_string(kMaxSignals) +
                     " are supported");
+  if (num_transitions() > kMaxTransitions)
+    throw SpecError("STG has " + std::to_string(num_transitions()) +
+                    " transitions; at most " +
+                    std::to_string(kMaxTransitions) + " are supported");
+}
+
+void Stg::validate() const {
+  if (transitions_.empty()) throw SpecError("STG has no transitions");
+  check_limits();
   // The token game has no arc weights: a place listed twice would be
   // checked for one token but lose (or gain) two.
   std::vector<int> seen(places_.size(), -1);

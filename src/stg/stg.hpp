@@ -87,6 +87,9 @@ class Stg {
   /// State codes and excitation masks are one 64-bit word, one bit per
   /// signal; validate() rejects a specification with more signals.
   static constexpr int kMaxSignals = 64;
+  /// A state-graph edge stores its transition id in 16 bits; validate()
+  /// rejects a specification with more transitions.
+  static constexpr int kMaxTransitions = 1 << 16;
   int add_signal(const std::string& name, SignalKind kind);
   int signal_id(const std::string& name) const;  ///< -1 if unknown
   const Signal& signal(int id) const { return signals_[id]; }
@@ -141,11 +144,14 @@ class Stg {
   Marking fire(const Marking& m, int t) const;
 
   // --- validation --------------------------------------------------------
-  /// Structural sanity: at most kMaxSignals signals, every transition
-  /// connected and listing each place at most once per side (arcs carry no
-  /// weight), every signal used edge-consistently (has both + and -
-  /// transitions unless it never switches), no isolated places. Throws
-  /// SpecError on violation.
+  /// Throws SpecError past kMaxSignals signals or kMaxTransitions
+  /// transitions. validate() checks these limits, and StateGraph::build()
+  /// checks them too, for specifications built in code and never validated.
+  void check_limits() const;
+  /// Structural sanity: the limits above, every transition connected and
+  /// listing each place at most once per side (arcs carry no weight), every
+  /// signal used edge-consistently (has both + and - transitions unless it
+  /// never switches), no isolated places. Throws SpecError on violation.
   void validate() const;
 
   /// Count transitions per signal & polarity (used by consistency checks).

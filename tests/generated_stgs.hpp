@@ -1,5 +1,5 @@
 // Specifications built in code for tests: seeded random STGs for fuzzing,
-// and wide single-ring specs for the signal-count limit.
+// and wide or long single-ring specs for the signal and transition limits.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +97,24 @@ inline Stg wide_ring_stg(int n) {
   for (std::size_t i = 0; i < ring.size(); ++i)
     stg.add_arc_tt(ring[i], ring[(i + 1) % ring.size()],
                    i + 1 == ring.size() ? 1 : 0);
+  return stg;
+}
+
+/// One ring a+ a- eps eps ... of `n` transitions (n >= 2), `n` places and
+/// one token, built in O(n) so that specs past Stg::kMaxTransitions stay
+/// cheap to make.
+inline Stg long_ring_stg(int n) {
+  Stg stg("long" + std::to_string(n));
+  const int a = stg.add_signal("a", SignalKind::kOutput);
+  std::vector<int> ring = {stg.add_transition(Edge{a, Polarity::kRise}),
+                           stg.add_transition(Edge{a, Polarity::kFall})};
+  while (static_cast<int>(ring.size()) < n)
+    ring.push_back(stg.add_transition(std::nullopt));
+  for (int i = 0; i < n; ++i) {
+    const int p = stg.add_place("p" + std::to_string(i), i + 1 == n ? 1 : 0);
+    stg.add_arc_tp(ring[i], p);
+    stg.add_arc_pt(p, ring[(i + 1) % n]);
+  }
   return stg;
 }
 

@@ -138,6 +138,21 @@ TEST(StateGraphArena, RowFormatFollowsTheInput) {
   EXPECT_GT(two_tokens, 0);
 }
 
+TEST(StateGraphArena, CsrGaugeCountsSixBytesAnEdge) {
+  // The forward CSR takes 4 bytes a row and 6 an edge (a 4-byte successor
+  // and a 16-bit transition id), and each state two 8-byte excitation
+  // masks. A transpose adds its own rows and edges at the same widths.
+  const StateGraph p = StateGraph::build(pipeline_stg(12));
+  const auto n = static_cast<std::size_t>(p.num_states());
+  const auto m = static_cast<std::size_t>(p.num_edges());
+  const std::size_t forward = 4 * (n + 1) + 6 * m + 16 * n;
+  EXPECT_EQ(p.csr_bytes(), forward);
+  StateGraph t = p;
+  t.rebuild_reverse_csr();
+  EXPECT_EQ(t.csr_bytes(), forward + 4 * (n + 1) + 6 * m);
+  EXPECT_EQ(p.csr_bytes(), forward);  // the copy derived its own
+}
+
 TEST(StateGraphArena, BuildRowsMatchTokenGameReplay) {
   for (const Stg& stg : {pipeline_stg(4), ring_stg(5)}) {
     const StateGraph sg = StateGraph::build(stg);

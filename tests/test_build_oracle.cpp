@@ -14,9 +14,10 @@
 // token-bound, inconsistency and state-cap errors), ring9 (the bit attempt
 // is abandoned early), fifo_2slot (byte rows from the initial marking),
 // pipeline12, pipeline16 and ring16 (arrays past GrowBuf's mapping
-// threshold, on bit and byte rows), and a 1-safe net of more than 128
-// places and transitions whose tokens cross the 64-bit word boundaries of a
-// bit row and whose transition ids cross those of an enabled set.
+// threshold, on bit and byte rows), a 1-safe net of more than 128 places
+// and transitions whose tokens cross the 64-bit word boundaries of a bit
+// row and whose transition ids cross those of an enabled set, and a wider
+// one that fires transition ids past 255.
 //
 // build() expands a state in two passes: it fires every enabled transition
 // first, then probes and inserts the successors in transition order. Two
@@ -220,17 +221,17 @@ TEST(BuildOracle, GeneratedSpecsMatchReference) {
       has_multi_token_marking(expect_same_build(ring_stg(16), "ring16")));
 }
 
-TEST(BuildOracle, WordBoundariesMatchReference) {
-  // Two rings, one signal each, padded with silent transitions: 152 places
-  // make 3-word bit rows, ring a's token crosses places 63/64 and ring b's
-  // crosses 127/128, and the rings interleave freely (76 x 76 states).
-  Stg stg("wide_places");
+/// Two rings, one signal each, with `pad` silent transitions after each
+/// signal edge: a ring of 2 + 2 * pad transitions and places, and the
+/// rings interleave freely ((2 + 2 * pad)^2 states).
+Stg padded_rings_stg(int pad) {
+  Stg stg("padded" + std::to_string(pad));
   for (const char* name : {"a", "b"}) {
     const int sig = stg.add_signal(name, SignalKind::kOutput);
     std::vector<int> ring;
     for (const Polarity pol : {Polarity::kRise, Polarity::kFall}) {
       ring.push_back(stg.add_transition(Edge{sig, pol}));
-      for (int i = 0; i < 37; ++i)
+      for (int i = 0; i < pad; ++i)
         ring.push_back(stg.add_transition(std::nullopt));
     }
     for (std::size_t i = 0; i < ring.size(); ++i)
@@ -238,13 +239,35 @@ TEST(BuildOracle, WordBoundariesMatchReference) {
                      i + 1 == ring.size() ? 1 : 0);
   }
   stg.validate();
+  return stg;
+}
+
+TEST(BuildOracle, WordBoundariesMatchReference) {
+  // 152 places make 3-word bit rows, ring a's token crosses places 63/64
+  // and ring b's crosses 127/128.
+  const Stg stg = padded_rings_stg(37);
   ASSERT_GT(stg.num_places(), 128);
   // 152 transitions make 3-word enabled sets, and the transitions enabled
   // together cross ids 63/64 and 127/128 as the tokens move.
   ASSERT_GT(stg.num_transitions(), 128);
-  const ReferenceGraph ref = expect_same_build(stg, "wide_places");
+  const ReferenceGraph ref = expect_same_build(stg, "padded37");
   EXPECT_EQ(ref.markings.size(), 76u * 76u);
   EXPECT_FALSE(has_multi_token_marking(ref));
+}
+
+TEST(BuildOracle, TransitionIdsPast255MatchReference) {
+  // An edge stores its transition id in 16 bits. Ring b's 142 transitions
+  // are ids 142..283, so its edges carry ids an 8-bit type or a truncating
+  // cast would wrap onto ring a's.
+  const Stg stg = padded_rings_stg(70);
+  const ReferenceGraph ref = expect_same_build(stg, "padded70");
+  EXPECT_EQ(ref.markings.size(), 142u * 142u);
+  int max_fired = 0;
+  for (const auto& edges : ref.out) {
+    for (const auto& [t, to] : edges) max_fired = std::max(max_fired, t);
+  }
+  EXPECT_EQ(max_fired, stg.num_transitions() - 1);
+  EXPECT_GT(max_fired, 255);
 }
 
 /// A net whose second state enables two silent transitions that both

@@ -479,6 +479,24 @@ TEST(FlowPipeline, SpecsPastTheSignalLimitFailAsSpecItems) {
   EXPECT_EQ(full.diagnostic.kind, "spec");
 }
 
+TEST(FlowPipeline, SpecsPastTheTransitionLimitFailAsSpecItems) {
+  // A state-graph edge holds its transition id in 16 bits. A spec with one
+  // transition more fails validation as a `spec` diagnostic that names the
+  // count, and build() refuses it the same way for a caller that never
+  // validates; a spec at the limit passes validate().
+  const Stg past = long_ring_stg(Stg::kMaxTransitions + 1);
+  const BatchItemResult item =
+      run_batch_item(BatchSpec{"long65537", past, rt_opts(), {}},
+                     FlowContext{});
+  EXPECT_FALSE(item.ok);
+  EXPECT_EQ(item.diagnostic.kind, "spec");
+  EXPECT_NE(item.diagnostic.message.find("65537 transitions"),
+            std::string::npos)
+      << item.diagnostic.message;
+  EXPECT_THROW(StateGraph::build(past), SpecError);
+  EXPECT_NO_THROW(long_ring_stg(Stg::kMaxTransitions).validate());
+}
+
 TEST(FlowPipeline, WideJohnsonChainsSynthesizeAndConformInBothModes) {
   // Synthesis keeps each function as its reachable ON and OFF codes, so
   // it holds every signal count a state code does. Chains of 21, 33 and
