@@ -95,6 +95,10 @@ struct StageTrace {
   StageStatus status = StageStatus::kOk;
   std::vector<StageMetric> metrics;  ///< typed stats, stage-specific
   std::string summary;               ///< one-line human description
+  /// Extra lines for a human reader, printed under the stage line by
+  /// `run --trace` (verify-netlist: a failing check's counterexample
+  /// events). Like wall_ms, never part of canonical JSON or cache entries.
+  std::vector<std::string> notes;
   std::string error_kind;            ///< set when status == kFailed
   std::string error_message;
   double wall_ms = 0;  ///< wall clock; never part of canonical output

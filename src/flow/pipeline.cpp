@@ -417,12 +417,15 @@ void stage_size(PipelineState* st, StageTrace* trace) {
 
 /// Conformance verification of the sized netlist under unbounded delays
 /// (Section 5), with the lowered RT constraints applied as interleaving
-/// pruning. Non-conformance is a REPORTED property — RT circuits are not
-/// speed-independent by design, that is the price of removing the
-/// handshake overhead — and an exceeded composed-state cap makes the
-/// verdict inconclusive; neither fails the flow. Netlists wider than the
-/// composed checker's 64-net bound skip the stage (the checker would
-/// assert otherwise).
+/// pruning. The checker walks the blackboard's state graph — the graph of
+/// `result.spec` in both modes, rebuilt after any state-signal insertion —
+/// instead of building its own. Non-conformance is a REPORTED property —
+/// RT circuits are not speed-independent by design, that is the price of
+/// removing the handshake overhead — and an exceeded cap (spec graph or
+/// composed states) makes the verdict inconclusive; neither fails the
+/// flow. A failing check's counterexample events go to the trace's notes,
+/// never to canonical bytes. Netlists wider than the composed checker's
+/// 64-net bound skip the stage (the checker would assert otherwise).
 void stage_verify_netlist(PipelineState* st, StageTrace* trace) {
   FlowResult& result = st->result;
   const MapReport& mapped = *result.mapped;
@@ -445,7 +448,7 @@ void stage_verify_netlist(PipelineState* st, StageTrace* trace) {
     return;
   }
   try {
-    rep.result = verify_conformance(mapped.netlist, result.spec, copts);
+    rep.result = verify_conformance(mapped.netlist, *st->sg, copts);
     rep.ran = true;
   } catch (const FlowCancelled&) {
     throw;
@@ -472,6 +475,11 @@ void stage_verify_netlist(PipelineState* st, StageTrace* trace) {
                        rep.constraints_applied, rep.result.states_explored);
   }
   legacy(st, trace, "conformance", detail);
+  if (!rep.result.trace.empty()) {
+    std::string events = "counterexample:";
+    for (const std::string& e : rep.result.trace) events += " " + e;
+    trace->notes.push_back(std::move(events));
+  }
   result.conformance = std::move(rep);
 }
 

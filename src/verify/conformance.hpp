@@ -1,9 +1,10 @@
 // Formal conformance checking of a gate-level netlist against its STG
 // specification under the UNBOUNDED gate-delay model (Section 5, solution
 // 2): every excited gate may switch in any order. The composition of
-// circuit states (net values) and specification markings is explored
-// exhaustively; a failure is an output edge the spec does not allow, or a
-// circuit that goes quiet while the spec still owes behaviour.
+// circuit states (net values) and states of the specification's state
+// graph is explored exhaustively; a failure is an output edge the spec
+// does not allow, or a circuit that goes quiet while the spec still owes
+// behaviour.
 //
 // Relative-timing constraints — orderings between NET transitions — prune
 // interleavings exactly as in the paper's C-element example: supplying
@@ -20,6 +21,8 @@
 
 namespace rtcad {
 
+class StateGraph;
+
 /// Ordering between two net transitions: whenever both are excited,
 /// `before` must fire first.
 struct NetConstraint {
@@ -34,6 +37,8 @@ NetConstraint parse_net_constraint(const std::string& text);
 
 struct ConformanceOptions {
   std::vector<NetConstraint> constraints;
+  /// Caps the spec's state graph (a larger one is refused) and the
+  /// composed states, checked at each state the exploration expands.
   std::size_t max_states = 1u << 20;
   /// Checked every 256 popped composed states ("cancelled during
   /// conformance"): a pre-run cancel fails with identical bytes at any
@@ -48,6 +53,18 @@ struct ConformanceResult {
   int states_explored = 0;
 };
 
+/// Check `netlist` against the specification whose reachability graph is
+/// `spec_graph` (its own copy of the spec, spec_graph.stg(), names the
+/// signals). The flow passes the graph its reachability stage already
+/// holds. A graph of more than `opts.max_states` states is refused with
+/// the SpecError the Stg overload raises when its build exceeds the cap.
+ConformanceResult verify_conformance(const Netlist& netlist,
+                                     const StateGraph& spec_graph,
+                                     const ConformanceOptions& opts = {});
+
+/// Build the spec's state graph under `opts.max_states`, then check
+/// against it. A build error is rethrown as a SpecError prefixed
+/// "conformance: cannot build the specification state graph: ".
 ConformanceResult verify_conformance(const Netlist& netlist, const Stg& spec,
                                      const ConformanceOptions& opts = {});
 

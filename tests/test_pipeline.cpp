@@ -430,6 +430,30 @@ TEST(FlowPipeline, CancelInsideConformanceHasStableBytes) {
   EXPECT_EQ(r.error->message, "cancelled during conformance");
 }
 
+TEST(FlowPipeline, TraceNotesCarryTheCounterexampleOutsideTheJson) {
+  // pipeline4 RT fails conformance; an on_stage observer reads the
+  // counterexample events from the verify-netlist stage's notes, and the
+  // item's canonical bytes are the same with and without the observer.
+  FlowOptions full = rt_opts();
+  full.stop_after = "verify-netlist";
+  const std::vector<BatchSpec> corpus = load_corpus_files(
+      {std::string(RTCAD_SPECS_DIR) + "/pipeline4.g"}, full);
+  ASSERT_EQ(corpus.size(), 1u);
+  std::vector<std::string> notes;
+  FlowContext observed;
+  observed.on_stage = [&notes](const StageTrace& t) {
+    if (t.stage == "verify-netlist") notes = t.notes;
+  };
+  const BatchItemResult with = run_batch_item(corpus[0], observed);
+  const BatchItemResult without = run_batch_item(corpus[0], FlowContext{});
+  ASSERT_TRUE(with.ok) << with.diagnostic.message;
+  EXPECT_EQ(notes, std::vector<std::string>{
+                       "counterexample: in+ c1+ c2+ c3+ c2_rst_a0+ "
+                       "c2_foot- c2-"});
+  EXPECT_EQ(item_record_json(with), item_record_json(without));
+  EXPECT_EQ(item_record_json(with).find("counterexample:"), std::string::npos);
+}
+
 TEST(FlowPipeline, BatchItemCarriesTheNetlistBytes) {
   // to_batch_item keeps the canonical netlist dump out of the record JSON
   // (the record byte-contract predates the back end) but carries it for

@@ -533,7 +533,8 @@ struct CliContext {
   }
 };
 
-/// `run --trace`: one stderr line per stage as it finishes.
+/// `run --trace`: one stderr line per stage as it finishes, then the
+/// stage's notes, indented under it.
 void print_stage(const StageTrace& t) {
   std::string metrics;
   for (const StageMetric& m : t.metrics) {
@@ -546,6 +547,8 @@ void print_stage(const StageTrace& t) {
                t.status == StageStatus::kFailed ? t.error_message.c_str()
                                                 : t.summary.c_str(),
                metrics.c_str(), t.wall_ms);
+  for (const std::string& note : t.notes)
+    std::fprintf(stderr, "      %s\n", note.c_str());
 }
 
 // --- subcommands ------------------------------------------------------------
