@@ -264,6 +264,31 @@ ResultCache::PruneStats ResultCache::prune(std::uintmax_t max_bytes,
   return stats;
 }
 
+CachedItem cached_item(const ResultCache& cache, const std::string& key,
+                       const std::string& name,
+                       const std::function<BatchItemResult()>& run,
+                       const std::function<void(bool hit)>& on_lookup) {
+  CachedItem out;
+  if (std::optional<BatchItemResult> hit = cache.lookup(key)) {
+    if (hit->name != name)
+      throw Error("cache entry '" + cache.entry_path(key) +
+                  "': stored name '" + hit->name +
+                  "' does not match item '" + name + "'");
+    out.result = std::move(*hit);
+    out.hit = true;
+  }
+  if (on_lookup) on_lookup(out.hit);
+  if (out.hit) return out;
+  out.result = run();
+  // Cancellation is wall-clock noise: which round observed the token
+  // depends on machine speed, so those bytes must never be memoized.
+  if (out.result.ok || out.result.diagnostic.kind != "cancelled") {
+    cache.store(key, out.result);
+    out.stored = true;
+  }
+  return out;
+}
+
 BatchResult run_batch_cached(const std::vector<BatchSpec>& corpus,
                              const FlowContext& ctx, const ResultCache& cache,
                              CacheStats* stats) {
@@ -275,25 +300,11 @@ BatchResult run_batch_cached(const std::vector<BatchSpec>& corpus,
       items[i] = run_batch_item(spec, ctx);
       return;
     }
-    const std::string key = cache_key(spec);
-    if (std::optional<BatchItemResult> hit = cache.lookup(key)) {
-      if (hit->name != spec.name)
-        throw Error("cache entry '" + cache.entry_path(key) +
-                    "': stored name '" + hit->name +
-                    "' does not match item '" + spec.name + "'");
-      items[i] = std::move(*hit);
-      hits.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    misses.fetch_add(1, std::memory_order_relaxed);
-    items[i] = run_batch_item(spec, ctx);
-    // Cancellation is wall-clock noise: which round observed the token
-    // depends on machine speed, so those bytes must never be memoized.
-    const BatchItemResult& item = items[i];
-    if (item.ok || item.diagnostic.kind != "cancelled") {
-      cache.store(key, item);
-      stores.fetch_add(1, std::memory_order_relaxed);
-    }
+    CachedItem c = cached_item(cache, cache_key(spec), spec.name,
+                               [&] { return run_batch_item(spec, ctx); });
+    (c.hit ? hits : misses).fetch_add(1, std::memory_order_relaxed);
+    if (c.stored) stores.fetch_add(1, std::memory_order_relaxed);
+    items[i] = std::move(c.result);
   });
 
   if (stats) {

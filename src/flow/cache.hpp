@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -117,13 +118,32 @@ class ResultCache {
   std::string dir_;
 };
 
-/// run_batch with memoization: per item, consult `cache` first and
-/// persist on a miss. The result is byte-identical to the uncached
+/// What cached_item() answered with, and how.
+struct CachedItem {
+  BatchItemResult result;
+  bool hit = false;     ///< served from the store; nothing ran
+  bool stored = false;  ///< a miss whose result was persisted
+};
+
+/// The store policy for one item, shared by run_batch_cached and the
+/// serve daemon. Looks `key` up; an entry counts as a hit only when its
+/// record names `name` — an entry whose record names another item throws
+/// Error, like any corrupt entry. `on_lookup(hit)` (optional) fires as
+/// soon as the lookup decides, before `run` starts. On a miss `run`
+/// computes the result, which is stored unless it is "cancelled" (that
+/// is schedule noise, not an answer). Throws Error on a corrupt entry or
+/// a failed store.
+CachedItem cached_item(const ResultCache& cache, const std::string& key,
+                       const std::string& name,
+                       const std::function<BatchItemResult()>& run,
+                       const std::function<void(bool hit)>& on_lookup = {});
+
+/// run_batch with memoization: each item with spec bytes goes through
+/// cached_item(). The result is byte-identical to the uncached
 /// `run_batch(corpus, ctx)` whatever mixture of hits and misses served
-/// it. Items with load errors bypass the cache; "cancelled" results are
-/// served-if-asked but never stored (they are schedule noise, not
-/// answers). `stats` (optional) accumulates hit/miss/store counts.
-/// Throws Error if the store holds a corrupt entry.
+/// it. Items with load errors bypass the cache. `stats` (optional)
+/// accumulates hit/miss/store counts. Throws Error if the store holds a
+/// corrupt entry.
 BatchResult run_batch_cached(const std::vector<BatchSpec>& corpus,
                              const FlowContext& ctx, const ResultCache& cache,
                              CacheStats* stats = nullptr);

@@ -34,8 +34,6 @@
 
 namespace rtcad {
 
-class MetricsRegistry;  // flow/metrics.hpp
-
 /// The machine split across the three parallelism levels. Arbitration
 /// rule: a non-negative level OVERRIDES the corresponding scattered
 /// option everywhere in the flow (sg.threads, encode.threads,
@@ -121,20 +119,14 @@ struct FlowContext {
   const CancelToken* cancel = nullptr;
   /// Optional stage-completion observer: the pipeline invokes it with the
   /// finished StageTrace immediately after each stage (including a failed
-  /// or skipped one), before the next stage starts. This is the streaming
-  /// seam the serving daemon and `run --trace` push progress through; it
-  /// observes, never alters — the trace recorded in PipelineResult is
+  /// or skipped one), before the next stage starts. This is the one seam
+  /// stage observers use: `run --trace` prints from it, and the serving
+  /// daemon streams `stage` lines and feeds its metrics registry from it.
+  /// It observes, never alters — the trace recorded in PipelineResult is
   /// byte-identical with or without an observer. Under a batch the
   /// observer fires from whichever worker runs the item, so it must be
   /// thread-safe when the corpus level is parallel.
   std::function<void(const StageTrace&)> on_stage;
-  /// Optional, not owned; must outlive the run. When set, the pipeline
-  /// feeds every finished StageTrace into the registry's per-stage
-  /// latency histograms and outcome counters (MetricsRegistry is
-  /// internally thread-safe, so one registry can span a parallel
-  /// batch). Purely observational: canonical output is byte-identical
-  /// with or without it.
-  MetricsRegistry* metrics = nullptr;
 
   bool cancelled() const { return cancel && cancel->cancelled(); }
   void check_cancelled(const char* where) const {

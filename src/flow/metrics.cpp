@@ -57,6 +57,12 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
+long long MetricsRegistry::counter_value(const std::string& name) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 void MetricsRegistry::observe_stage(const StageTrace& trace) {
   histogram("stage_us." + trace.stage)
       .observe_us(static_cast<long long>(trace.wall_ms * 1000.0));

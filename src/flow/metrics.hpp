@@ -1,8 +1,11 @@
 // Serve-side metrics: a lock-cheap registry of counters, gauges, and
-// fixed-bucket latency histograms, fed from FlowContext::on_stage (one
-// histogram + outcome counter per pipeline stage) and from the serving
-// daemon's submit/cache paths, and rendered as deterministic-schema
-// JSON for the extended `stats` verb and `rtflow_cli metrics`.
+// fixed-bucket latency histograms, fed by the serving daemon — its
+// FlowContext::on_stage observer calls observe_stage() (one histogram +
+// outcome counter per pipeline stage), and its request path counts
+// submissions and store traffic — and rendered as deterministic-schema
+// JSON for the extended `stats` verb and `rtflow_cli metrics`. The
+// daemon's `serve.*` counters are its only tally: FlowService::stats()
+// and the `stats` line read them back through counter_value().
 //
 // Design constraints, in order:
 //
@@ -21,10 +24,9 @@
 //    is why metrics JSON is a *monitoring* surface, never part of the
 //    canonical result-byte contract (same rule as StageTrace.wall_ms).
 //
-//  - No dependency on the flow layer: context.hpp forward-declares
-//    MetricsRegistry and pipeline.cpp calls observe_stage(), so the
-//    core pipeline keeps building without this translation unit in
-//    hosts that never serve.
+//  - The pipeline does not know the registry: a StageTrace reaches it
+//    only through an on_stage observer the daemon installs, so a flow
+//    run outside the daemon carries no metrics code on its path.
 #pragma once
 
 #include <atomic>
@@ -103,6 +105,10 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
+
+  /// The value of counter `name`, 0 when it has never been used. Creates
+  /// nothing, so reading a tally leaves the snapshot's shape unchanged.
+  long long counter_value(const std::string& name) const;
 
   /// The per-stage feed wired through FlowContext::on_stage: records
   /// `stage_us.<stage>` latency and bumps

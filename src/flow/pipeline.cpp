@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "flow/metrics.hpp"
 #include "rt/reduce.hpp"
 #include "util/strings.hpp"
 
@@ -616,14 +615,12 @@ PipelineResult FlowPipeline::run(const Stg& spec, const FlowOptions& opts,
           StageError{name, trace.error_kind, trace.error_message};
       out.exception = e;
       out.trace.push_back(std::move(trace));
-      if (ctx.metrics) ctx.metrics->observe_stage(out.trace.back());
       if (ctx.on_stage) ctx.on_stage(out.trace.back());
       out.flow = std::move(st.result);
       return out;
     }
     trace.wall_ms = ms_since(start);
     out.trace.push_back(std::move(trace));
-    if (ctx.metrics) ctx.metrics->observe_stage(out.trace.back());
     if (ctx.on_stage) ctx.on_stage(out.trace.back());
   }
   out.flow = std::move(st.result);

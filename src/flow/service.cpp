@@ -4,13 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -29,8 +26,15 @@
 namespace rtcad {
 namespace {
 
+using LineSink = std::function<void(const std::string&)>;
+using StageSink = std::function<void(const StageTrace&)>;
+
 void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
+}
+
+std::string serve_banner() {
+  return strprintf("rtflow-serve %d", kServeProtocol);
 }
 
 /// One-line stage report: summaries never contain newlines by the trace
@@ -48,6 +52,13 @@ long long us_since(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
+
+/// One `submit` or `batch` request as read off the wire.
+struct Request {
+  bool use_cache = true;
+  long deadline_ms = -1;  ///< <0: none
+  std::vector<SubmitRequest> items;
+};
 
 }  // namespace
 
@@ -74,35 +85,35 @@ struct FlowService::Impl {
   int flow_limit = 1;
   std::set<int> open_fds;                       // to shutdown() on stop
   std::set<const CancelToken*> active_tokens;   // to cancel on stop
-  ServeStats stat;
 
   // --- gate: at most `flow_limit` concurrent pipeline runs ---------------
-  void gate_acquire() {
+  // A run's token is tracked from before it waits until it leaves, so
+  // stop() cancels waiting and running flows alike.
+  void gate_acquire(CancelToken* token) {
     std::unique_lock<std::mutex> lock(mu);
+    active_tokens.insert(token);
     cv.wait(lock, [this] { return active_flows < flow_limit || stopping; });
     ++active_flows;
     registry.gauge("serve.active_flows").set(active_flows);
+    if (stopping) token->request_cancel();
   }
-  void gate_release() {
+  void gate_release(const CancelToken* token) {
     {
       std::lock_guard<std::mutex> lock(mu);
       --active_flows;
+      active_tokens.erase(token);
       registry.gauge("serve.active_flows").set(active_flows);
     }
     cv.notify_all();
   }
 
-  void track_token(const CancelToken* t, bool add) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (add)
-      active_tokens.insert(t);
-    else
-      active_tokens.erase(t);
-  }
-
-  void bump(long long ServeStats::* field) {
-    std::lock_guard<std::mutex> lock(mu);
-    stat.*field += 1;
+  ServeStats stats() const {
+    return ServeStats{registry.counter_value("serve.submit_total"),
+                      registry.counter_value("serve.cache_hit_total"),
+                      registry.counter_value("serve.cache_miss_total"),
+                      registry.counter_value("serve.cancelled_total"),
+                      registry.counter_value("serve.protocol_error_total"),
+                      registry.counter_value("serve.cache_evict_total")};
   }
 
   // --- request handling ---------------------------------------------------
@@ -110,13 +121,12 @@ struct FlowService::Impl {
   void handle_connection(int fd) {
     SocketReader in(fd);
     std::string line;
-    const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
+    const std::string banner = serve_banner();
 
     // Every handler answers a failed read_line() with protocol_error()
     // and returns, which closes the connection; an over-long line is
     // reported as what it is.
     const auto protocol_error = [&](const std::string& message) {
-      bump(&ServeStats::protocol_errors);
       registry.counter("serve.protocol_error_total").add(1);
       send_line(fd, banner);
       send_line(fd, "error " + (in.line_too_long()
@@ -143,17 +153,17 @@ struct FlowService::Impl {
     if (line == "stats") {
       // Legacy one-line summary FIRST (serve_control and older clients
       // read only this), then the framed metrics snapshot.
-      std::string summary;
+      const ServeStats s = stats();
+      int active = 0;
       {
         std::lock_guard<std::mutex> lock(mu);
-        summary = strprintf("stats requests=%lld cache_hits=%lld "
-                            "cache_misses=%lld cancelled=%lld "
-                            "protocol_errors=%lld active=%d evicted=%lld",
-                            stat.requests, stat.cache_hits,
-                            stat.cache_misses, stat.cancelled,
-                            stat.protocol_errors, active_flows,
-                            stat.evicted);
+        active = active_flows;
       }
+      const std::string summary = strprintf(
+          "stats requests=%lld cache_hits=%lld cache_misses=%lld "
+          "cancelled=%lld protocol_errors=%lld active=%d evicted=%lld",
+          s.requests, s.cache_hits, s.cache_misses, s.cancelled,
+          s.protocol_errors, active, s.evicted);
       const std::string metrics_json = registry.to_json();
       send_line(fd, banner);
       send_line(fd, summary);
@@ -173,22 +183,95 @@ struct FlowService::Impl {
       cv.notify_all();
       return;
     }
-    if (line == "submit") {
-      handle_submit(fd, &in, protocol_error);
-      return;
-    }
-    if (line == "batch") {
-      handle_batch(fd, &in, protocol_error);
+    if (line == "submit" || line == "batch") {
+      const bool batch = line == "batch";
+      Request req;
+      if (read_request(&in, batch, &req, protocol_error))
+        answer(fd, batch, req);
       return;
     }
     protocol_error("unknown verb '" + line + "'");
   }
 
-  /// Parse one item header line shared by submit and batch blocks.
-  /// Returns false (after reporting) on a malformed value.
-  bool apply_header(
-      const std::string& word, const std::string& val, SubmitRequest* req,
-      const std::function<void(const std::string&)>& protocol_error) {
+  /// Read a `submit` or `batch` request up to its `run` line. A
+  /// submission is the one-item case: its item is named "<submitted>"
+  /// and it takes no `item` line. Returns false after reporting a
+  /// malformed request.
+  static bool read_request(SocketReader* in, bool batch, Request* req,
+                           const LineSink& protocol_error) {
+    std::vector<SubmitRequest>& items = req->items;
+    if (!batch) items.emplace_back().name = "<submitted>";
+    bool has_spec = false;
+    std::size_t payload_bytes = 0;  // summed over the request's specs
+
+    std::string line;
+    for (;;) {
+      if (!in->read_line(&line)) {
+        protocol_error("connection closed before 'run'");
+        return false;
+      }
+      if (line == "run") break;
+      const std::size_t sp = line.find(' ');
+      const std::string word = line.substr(0, sp);
+      const std::string val =
+          sp == std::string::npos ? "" : line.substr(sp + 1);
+      if (word == "cache") {
+        if (val != "on" && val != "off") {
+          protocol_error("cache must be on|off");
+          return false;
+        }
+        req->use_cache = val == "on";
+      } else if (word == "deadline-ms") {
+        const auto n = wire_number(word, val, 0, LONG_MAX, protocol_error);
+        if (!n) return false;
+        req->deadline_ms = static_cast<long>(*n);
+      } else if (batch && word == "item") {
+        if (!items.empty() && !has_spec) {
+          protocol_error("item '" + items.back().name +
+                         "' has no spec payload");
+          return false;
+        }
+        std::string name =
+            val.empty() ? strprintf("<item %zu>", items.size()) : val;
+        items.emplace_back().name = std::move(name);
+        has_spec = false;
+      } else if (items.empty()) {
+        protocol_error(word == "spec"
+                           ? "spec before the first 'item'"
+                           : "header '" + word + "' before the first 'item'");
+        return false;
+      } else if (word == "spec") {
+        const auto n =
+            wire_number(word, val, 0,
+                        SocketReader::kMaxPayloadBytes - payload_bytes,
+                        protocol_error);
+        if (!n || !read_payload(in, *n, &items.back().spec_text,
+                                protocol_error))
+          return false;
+        payload_bytes += *n;
+        has_spec = true;
+      } else if (!apply_header(word, val, &items.back(), protocol_error)) {
+        return false;
+      }
+    }
+    if (items.empty()) {
+      protocol_error("batch with no items");
+      return false;
+    }
+    if (!has_spec) {
+      protocol_error(batch ? "item '" + items.back().name +
+                                 "' has no spec payload"
+                           : "missing spec payload");
+      return false;
+    }
+    return true;
+  }
+
+  /// Parse one per-item header line. Returns false (after reporting) on
+  /// a malformed value.
+  static bool apply_header(const std::string& word, const std::string& val,
+                           SubmitRequest* req,
+                           const LineSink& protocol_error) {
     if (word == "name") {
       req->name = val;
       return true;
@@ -225,8 +308,7 @@ struct FlowService::Impl {
   /// (after reporting) on anything else.
   static std::optional<unsigned long long> wire_number(
       const std::string& word, const std::string& val, unsigned long long lo,
-      unsigned long long hi,
-      const std::function<void(const std::string&)>& protocol_error) {
+      unsigned long long hi, const LineSink& protocol_error) {
     const auto n = parse_whole_number(val, lo, hi);
     if (!n)
       protocol_error(strprintf("%s must be a whole number in [%llu, %llu]",
@@ -234,14 +316,11 @@ struct FlowService::Impl {
     return n;
   }
 
-  /// Read a framed "spec <N>\n<bytes>\n" payload into req->spec_text.
-  bool read_spec_payload(
-      SocketReader* in, const std::string& val, SubmitRequest* req,
-      const std::function<void(const std::string&)>& protocol_error) {
-    const auto n = wire_number("spec", val, 0, opts.max_spec_bytes,
-                               protocol_error);
-    if (!n) return false;
-    if (!in->read_exact(&req->spec_text, *n)) {
+  /// Read the `n` payload bytes a "spec <n>" line framed, and the newline
+  /// after them.
+  static bool read_payload(SocketReader* in, std::size_t n, std::string* out,
+                           const LineSink& protocol_error) {
+    if (!in->read_exact(out, n)) {
       protocol_error("connection closed inside spec payload");
       return false;
     }
@@ -271,283 +350,124 @@ struct FlowService::Impl {
     return item;
   }
 
-  /// Run one assembled item under the gate with serve bookkeeping:
-  /// deadline/disconnect token already configured by the caller, cache
-  /// consulted/populated, counters fed. `emit_status` fires with
-  /// "hit"/"miss"/"off" as soon as the lookup decides — BEFORE any
-  /// stage runs, preserving the streamed wire order — and `say` is the
-  /// caller's write-or-cancel sink for hard errors. Returns false on a
-  /// hard (connection-terminating) error.
-  bool run_item(const BatchSpec& item, const std::string& key,
-                bool use_cache, CancelToken* token,
-                const std::function<void(const std::string&)>& say,
-                const std::function<void(const std::string&)>& emit_status,
-                const std::function<void(const StageTrace&)>& on_stage,
-                BatchItemResult* result) {
-    const bool cacheable = !key.empty();
-    const auto started = std::chrono::steady_clock::now();
-
-    bump(&ServeStats::requests);
-    registry.counter("serve.submit_total").add(1);
-
-    if (cacheable && use_cache) {
-      std::optional<BatchItemResult> hit;
-      try {
-        hit = cache->lookup(key);
-      } catch (const Error& e) {
-        // A corrupt store entry must be loud, not silently recomputed.
-        say(std::string("error ") + e.what());
-        return false;
-      }
-      if (hit) {
-        bump(&ServeStats::cache_hits);
-        registry.counter("serve.cache_hit_total").add(1);
-        emit_status("hit");
-        *result = std::move(*hit);
-        registry.histogram("serve.request_us").observe_us(us_since(started));
-        return true;
-      }
-    }
-
-    const std::string status = cacheable && use_cache ? "miss" : "off";
-    if (status == "miss") {
-      bump(&ServeStats::cache_misses);
-      registry.counter("serve.cache_miss_total").add(1);
-    }
-    emit_status(status);
-
-    FlowContext ctx;
-    ctx.budget = opts.budget;
-    ctx.cancel = token;
-    ctx.metrics = &registry;
-    ctx.on_stage = on_stage;
-
-    track_token(token, true);
-    gate_acquire();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (stopping) token->request_cancel();
-    }
-    *result = run_batch_item(item, ctx);
-    gate_release();
-    track_token(token, false);
-
-    const bool was_cancelled =
-        !result->ok && result->diagnostic.kind == "cancelled";
-    if (was_cancelled) {
-      bump(&ServeStats::cancelled);
-      registry.counter("serve.cancelled_total").add(1);
-    }
-    // Populate the store — never with cancellation noise.
-    if (status == "miss" && !was_cancelled) {
-      try {
-        cache->store(key, *result);
-        registry.counter("serve.cache_store_total").add(1);
-        enforce_cache_cap(key);
-      } catch (const Error& e) {
-        say(std::string("error ") + e.what());
-        return false;
-      }
-    }
-    registry.histogram("serve.request_us").observe_us(us_since(started));
-    return true;
-  }
-
-  /// --cache-max-bytes: LRU-prune the store back under the cap after a
-  /// store, protecting the entry this request just wrote.
-  void enforce_cache_cap(const std::string& just_stored_key) {
-    if (opts.cache_max_bytes == 0 || !cache) return;
-    const ResultCache::PruneStats pruned =
-        cache->prune(opts.cache_max_bytes, just_stored_key);
-    if (pruned.evicted > 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      stat.evicted += static_cast<long long>(pruned.evicted);
-    }
-    registry.counter("serve.cache_evict_total")
-        .add(static_cast<long long>(pruned.evicted));
-  }
-
-  void handle_submit(
-      int fd, SocketReader* in,
-      const std::function<void(const std::string&)>& protocol_error) {
-    SubmitRequest req;
-    req.name = "<submitted>";
-    bool have_spec = false;
-
-    std::string line;
-    for (;;) {
-      if (!in->read_line(&line)) {
-        protocol_error("connection closed before 'run'");
-        return;
-      }
-      if (line == "run") break;
-      const std::size_t sp = line.find(' ');
-      const std::string word = line.substr(0, sp);
-      const std::string val =
-          sp == std::string::npos ? "" : line.substr(sp + 1);
-      if (word == "deadline-ms") {
-        const auto n = wire_number(word, val, 0, LONG_MAX, protocol_error);
-        if (!n) return;
-        req.deadline_ms = static_cast<long>(*n);
-      } else if (word == "cache") {
-        if (val != "on" && val != "off") {
-          protocol_error("cache must be on|off");
-          return;
-        }
-        req.use_cache = val == "on";
-      } else if (word == "spec") {
-        if (!read_spec_payload(in, val, &req, protocol_error)) return;
-        have_spec = true;
-      } else {
-        if (!apply_header(word, val, &req, protocol_error)) return;
-      }
-    }
-    if (!have_spec) {
-      protocol_error("missing spec payload");
-      return;
-    }
-
-    const BatchSpec item = to_batch_spec(req);
-
-    const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
+  /// Answer a request that read cleanly. Its items run in request order,
+  /// sequentially on this connection, so each takes one gate slot and
+  /// the records stream back in corpus order — what the client needs to
+  /// reassemble `rtflow_cli batch`'s envelope byte-identically. The verb
+  /// picks only the framing lines: `accepted key=`, `cache` and streamed
+  /// `stage` lines for a submission; `accepted items=` and one `item`
+  /// line per item for a batch.
+  void answer(int fd, bool batch, const Request& req) {
+    if (batch) registry.counter("serve.batch_total").add(1);
     // From here on the client may vanish at any time; `alive` latches the
     // first failed write and cancels the request's flow.
     CancelToken token;
-    bool alive = send_line(fd, banner);
+    if (req.deadline_ms >= 0)
+      token.set_timeout(std::chrono::milliseconds(req.deadline_ms));
+    bool alive = send_line(fd, serve_banner());
     const auto say = [&](const std::string& l) {
       if (alive && !send_line(fd, l)) {
         alive = false;
         token.request_cancel();  // client gone: stop burning its budget
       }
     };
+    if (batch) say(strprintf("accepted items=%zu", req.items.size()));
 
-    const bool cacheable = cache.has_value() && !item.load_error;
-    const std::string key = cacheable ? cache_key(item) : std::string();
-    say("accepted key=" + (key.empty() ? "-" : key));
-
-    if (req.deadline_ms >= 0)
-      token.set_timeout(std::chrono::milliseconds(req.deadline_ms));
-
-    BatchItemResult result;
-    if (!run_item(item, key, req.use_cache, &token, say,
-                  [&](const std::string& s) { say("cache " + s); },
-                  [&](const StageTrace& t) { say(stage_line(t)); }, &result))
-      return;
-
-    const std::string record = item_record_json(result);
-    say(strprintf("record %zu", record.size()));
-    if (alive && !send_all(fd, record.data(), record.size())) alive = false;
-    say("");  // terminate the record payload line
-    say("done");
-  }
-
-  void handle_batch(
-      int fd, SocketReader* in,
-      const std::function<void(const std::string&)>& protocol_error) {
-    bool use_cache = true;
-    long deadline_ms = -1;
-    std::vector<SubmitRequest> items;
-    bool current_has_spec = false;
-
-    std::string line;
-    for (;;) {
-      if (!in->read_line(&line)) {
-        protocol_error("connection closed before 'run'");
-        return;
-      }
-      if (line == "run") break;
-      const std::size_t sp = line.find(' ');
-      const std::string word = line.substr(0, sp);
-      const std::string val =
-          sp == std::string::npos ? "" : line.substr(sp + 1);
-      if (word == "cache") {
-        if (val != "on" && val != "off") {
-          protocol_error("cache must be on|off");
-          return;
-        }
-        use_cache = val == "on";
-      } else if (word == "deadline-ms") {
-        const auto n = wire_number(word, val, 0, LONG_MAX, protocol_error);
-        if (!n) return;
-        deadline_ms = static_cast<long>(*n);
-      } else if (word == "item") {
-        if (!items.empty() && !current_has_spec) {
-          protocol_error("item '" + items.back().name +
-                         "' has no spec payload");
-          return;
-        }
-        SubmitRequest req;
-        req.name = val.empty() ? strprintf("<item %zu>", items.size()) : val;
-        items.push_back(std::move(req));
-        current_has_spec = false;
-      } else if (word == "spec") {
-        if (items.empty()) {
-          protocol_error("spec before the first 'item'");
-          return;
-        }
-        if (!read_spec_payload(in, val, &items.back(), protocol_error))
-          return;
-        current_has_spec = true;
-      } else {
-        if (items.empty()) {
-          protocol_error("header '" + word + "' before the first 'item'");
-          return;
-        }
-        if (!apply_header(word, val, &items.back(), protocol_error)) return;
-      }
-    }
-    if (items.empty()) {
-      protocol_error("batch with no items");
-      return;
-    }
-    if (!current_has_spec) {
-      protocol_error("item '" + items.back().name + "' has no spec payload");
-      return;
-    }
-
-    registry.counter("serve.batch_total").add(1);
-
-    const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
-    CancelToken token;
-    if (deadline_ms >= 0)
-      token.set_timeout(std::chrono::milliseconds(deadline_ms));
-    bool alive = send_line(fd, banner);
-    const auto say = [&](const std::string& l) {
-      if (alive && !send_line(fd, l)) {
-        alive = false;
-        token.request_cancel();
-      }
-    };
-
-    say(strprintf("accepted items=%zu", items.size()));
-
-    // Corpus order, sequential on this connection: each item takes one
-    // gate slot, so concurrent batch connections still respect the
-    // ThreadBudget gate, and the stream arrives in submission order —
-    // the property the client needs to reassemble `rtflow_cli batch`'s
-    // envelope byte-identically.
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const BatchSpec item = to_batch_spec(items[i]);
-      const bool cacheable = cache.has_value() && !item.load_error;
-      const std::string key = cacheable ? cache_key(item) : std::string();
+    for (std::size_t i = 0; i < req.items.size(); ++i) {
+      const BatchSpec item = to_batch_spec(req.items[i]);
+      const std::string key =
+          cache && !item.load_error ? cache_key(item) : std::string();
+      const std::string shown = key.empty() ? "-" : key;
+      if (!batch) say("accepted key=" + shown);
+      const auto report = [&](const char* status) {
+        say(batch ? strprintf("item %zu key=%s cache %s", i, shown.c_str(),
+                              status)
+                  : std::string("cache ") + status);
+      };
+      StageSink on_stage;
+      if (!batch) on_stage = [&](const StageTrace& t) { say(stage_line(t)); };
 
       BatchItemResult result;
-      if (!run_item(item, key, use_cache, &token, say,
-                    [&](const std::string& s) {
-                      say(strprintf("item %zu key=%s cache %s", i,
-                                    key.empty() ? "-" : key.c_str(),
-                                    s.c_str()));
-                    },
-                    nullptr, &result))
+      try {
+        result = serve_item(item, key, req.use_cache, &token, report,
+                            on_stage);
+      } catch (const Error& e) {
+        // A corrupt store entry must be loud, not silently recomputed.
+        say(std::string("error ") + e.what());
         return;
-
+      }
       const std::string record = item_record_json(result);
       say(strprintf("record %zu", record.size()));
       if (alive && !send_all(fd, record.data(), record.size())) alive = false;
-      say("");
+      say("");  // terminate the record payload line
       if (!alive) return;  // client gone: no point running the rest
     }
     say("done");
+  }
+
+  /// Serve one item: through the store (cached_item) when it has a key
+  /// and the request uses the cache, else by a fresh run. `report` gets
+  /// "hit", "miss" or "off" before any stage runs, which keeps the
+  /// streamed wire order. Throws Error on a corrupt or foreign store
+  /// entry and on a failed store.
+  BatchItemResult serve_item(const BatchSpec& item, const std::string& key,
+                             bool use_cache, CancelToken* token,
+                             const std::function<void(const char*)>& report,
+                             const StageSink& on_stage) {
+    const auto started = std::chrono::steady_clock::now();
+    registry.counter("serve.submit_total").add(1);
+    const auto run = [&] { return run_gated(item, token, on_stage); };
+    BatchItemResult result;
+    if (key.empty() || !use_cache) {
+      report("off");
+      result = run();
+    } else {
+      const auto on_lookup = [&](bool hit) {
+        registry.counter(hit ? "serve.cache_hit_total"
+                             : "serve.cache_miss_total")
+            .add(1);
+        report(hit ? "hit" : "miss");
+      };
+      CachedItem served = cached_item(*cache, key, item.name, run, on_lookup);
+      if (served.stored) {
+        registry.counter("serve.cache_store_total").add(1);
+        enforce_cache_cap(key);
+      }
+      result = std::move(served.result);
+    }
+    registry.histogram("serve.request_us").observe_us(us_since(started));
+    return result;
+  }
+
+  /// Run one item's flow under the gate, with `token` cancelled on
+  /// stop(). Every finished stage feeds the registry, then `on_stage`.
+  BatchItemResult run_gated(const BatchSpec& item, CancelToken* token,
+                            const StageSink& on_stage) {
+    FlowContext ctx;
+    ctx.budget = opts.budget;
+    ctx.cancel = token;
+    ctx.on_stage = [&](const StageTrace& t) {
+      registry.observe_stage(t);
+      if (on_stage) on_stage(t);
+    };
+
+    gate_acquire(token);
+    BatchItemResult result = run_batch_item(item, ctx);
+    gate_release(token);
+
+    if (!result.ok && result.diagnostic.kind == "cancelled")
+      registry.counter("serve.cancelled_total").add(1);
+    return result;
+  }
+
+  /// --cache-max-bytes: LRU-prune the store back under the cap after a
+  /// store, protecting the entry this request just wrote.
+  void enforce_cache_cap(const std::string& just_stored_key) {
+    if (opts.cache_max_bytes == 0) return;
+    const ResultCache::PruneStats pruned =
+        cache->prune(opts.cache_max_bytes, just_stored_key);
+    registry.counter("serve.cache_evict_total")
+        .add(static_cast<long long>(pruned.evicted));
   }
 
   void accept_loop(Listener* listener) {
@@ -608,10 +528,7 @@ bool FlowService::running() const {
   return impl_->started && !impl_->stopping;
 }
 
-ServeStats FlowService::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->stat;
-}
+ServeStats FlowService::stats() const { return impl_->stats(); }
 
 void FlowService::start() {
   Impl& im = *impl_;
@@ -712,6 +629,104 @@ void FlowService::wait(const std::function<bool()>& keep_running) {
 
 namespace {
 
+/// One client exchange: dial `endpoint`, send the banner and `body`, and
+/// read the server's banner back. Each step throws Error when it fails —
+/// all of them transport failures; the response is then read line by
+/// line.
+class Exchange {
+ public:
+  Exchange(const Endpoint& endpoint, const std::string& body,
+           const std::string& what)
+      : fd_(connect_endpoint(endpoint)), in_(fd_) {
+    const std::string banner = serve_banner();
+    const std::string msg = banner + "\n" + body;
+    if (!send_all(fd_, msg.data(), msg.size()))
+      fail("connection closed while sending " + what);
+    std::string line;
+    if (!in_.read_line(&line) || line != banner)
+      fail("server did not answer with the protocol banner");
+  }
+  ~Exchange() { close_fd(fd_); }
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
+
+  bool read_line(std::string* line) { return in_.read_line(line); }
+
+  /// The payload framed by `line` ("<word> <byte-count>"), and the
+  /// newline after it. Throws Error on a malformed size or a short
+  /// stream.
+  std::string payload(const std::string& line, const std::string& word) {
+    const auto n =
+        parse_whole_number(std::string_view(line).substr(word.size() + 1));
+    std::string bytes;
+    if (!n || !in_.read_exact(&bytes, *n))
+      throw Error(n ? "truncated " + word + " payload" : "malformed " + line);
+    std::string newline;
+    in_.read_exact(&newline, 1);
+    return bytes;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& message) {
+    close_fd(fd_);  // the destructor of a half-built object never runs
+    throw Error(message);
+  }
+
+  int fd_;
+  SocketReader in_;
+};
+
+/// A `submit` or `batch` response, read by one loop: the framing lines of
+/// both verbs are told apart by their first word.
+struct ItemResponse : BatchSubmitResult {
+  std::string key;                       ///< submit's `accepted key=`
+  std::vector<std::string> stage_lines;  ///< submit's streamed stages
+};
+
+ItemResponse exchange_items(const Endpoint& endpoint, const std::string& body,
+                            const LineSink& on_line) {
+  ItemResponse out;
+  try {
+    Exchange ex(endpoint, body, "the request");
+    std::string line;
+    while (ex.read_line(&line)) {
+      if (on_line) on_line(line);
+      if (starts_with(line, "error ")) {
+        out.error = line.substr(6);
+        return out;  // a served error is an answer, not a transport failure
+      }
+      if (starts_with(line, "accepted key=")) {
+        out.key = line.substr(std::string("accepted key=").size());
+      } else if (starts_with(line, "accepted items=")) {
+        // informational; the stream itself carries the per-item framing
+      } else if (starts_with(line, "cache ")) {
+        out.cache_statuses.push_back(line.substr(6));
+      } else if (starts_with(line, "item ")) {
+        const std::size_t at = line.rfind(" cache ");
+        out.cache_statuses.push_back(
+            at == std::string::npos
+                ? std::string()
+                : line.substr(at + std::string(" cache ").size()));
+      } else if (starts_with(line, "stage ")) {
+        out.stage_lines.push_back(line.substr(6));
+      } else if (starts_with(line, "record ")) {
+        out.records.push_back(ex.payload(line, "record"));
+      } else if (line == "done") {
+        out.protocol_ok = true;
+        return out;
+      } else {
+        out.error = "unexpected response line: " + line;
+        return out;
+      }
+    }
+    out.error = "connection closed before 'done'";
+  } catch (const Error& e) {
+    out.error = e.what();
+  }
+  out.transport_failure = true;
+  return out;
+}
+
 /// Render the shared per-item header block (submit headers / batch item
 /// blocks differ only in the leading verb-specific lines).
 std::string item_headers(const SubmitRequest& req) {
@@ -727,226 +742,58 @@ std::string item_headers(const SubmitRequest& req) {
 
 }  // namespace
 
-SubmitResult serve_submit(
-    const Endpoint& endpoint, const SubmitRequest& req,
-    const std::function<void(const std::string& line)>& on_line) {
-  SubmitResult out;
-  int fd = -1;
-  try {
-    fd = connect_endpoint(endpoint);
-  } catch (const Error& e) {
-    out.error = e.what();
-    out.transport_failure = true;
-    return out;
-  }
-  const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
-
-  std::string msg;
-  msg += banner + "\n";
-  msg += "submit\n";
-  if (!req.name.empty()) msg += "name " + req.name + "\n";
+SubmitResult serve_submit(const Endpoint& endpoint, const SubmitRequest& req,
+                          const LineSink& on_line) {
+  std::string body = "submit\n";
+  if (!req.name.empty()) body += "name " + req.name + "\n";
   if (req.deadline_ms >= 0)
-    msg += strprintf("deadline-ms %ld\n", req.deadline_ms);
-  msg += req.use_cache ? "cache on\n" : "cache off\n";
-  msg += item_headers(req);
-  msg += "run\n";
-  if (!send_all(fd, msg.data(), msg.size())) {
-    close_fd(fd);
-    out.error = "connection closed while sending the request";
-    out.transport_failure = true;
-    return out;
-  }
+    body += strprintf("deadline-ms %ld\n", req.deadline_ms);
+  body += req.use_cache ? "cache on\n" : "cache off\n";
+  body += item_headers(req);
+  body += "run\n";
+  ItemResponse res = exchange_items(endpoint, body, on_line);
 
-  SocketReader in(fd);
-  std::string line;
-  if (!in.read_line(&line) || line != banner) {
-    close_fd(fd);
-    out.error = "server did not answer with the protocol banner";
-    out.transport_failure = true;
-    return out;
-  }
-  while (in.read_line(&line)) {
-    if (on_line) on_line(line);
-    if (starts_with(line, "error ")) {
-      out.error = line.substr(6);
-      break;
-    }
-    if (starts_with(line, "accepted key=")) {
-      out.key = line.substr(std::string("accepted key=").size());
-    } else if (starts_with(line, "cache ")) {
-      out.cache_status = line.substr(6);
-    } else if (starts_with(line, "stage ")) {
-      out.stage_lines.push_back(line.substr(6));
-    } else if (starts_with(line, "record ")) {
-      const auto n = parse_whole_number(std::string_view(line).substr(7));
-      if (!n || !in.read_exact(&out.record_json, *n)) {
-        out.error = n ? "truncated record payload" : "malformed " + line;
-        out.transport_failure = true;
-        break;
-      }
-      std::string newline;
-      in.read_exact(&newline, 1);  // payload-terminating newline
-    } else if (line == "done") {
-      out.protocol_ok = true;
-      break;
-    } else {
-      out.error = "unexpected response line: " + line;
-      break;
-    }
-  }
-  if (!out.protocol_ok && out.error.empty()) {
-    out.error = "connection closed before 'done'";
-    out.transport_failure = true;
-  }
-  close_fd(fd);
+  SubmitResult out;
+  out.protocol_ok = res.protocol_ok;
+  out.error = std::move(res.error);
+  out.transport_failure = res.transport_failure;
+  if (!res.cache_statuses.empty()) out.cache_status = res.cache_statuses[0];
+  out.key = std::move(res.key);
+  out.stage_lines = std::move(res.stage_lines);
+  if (!res.records.empty()) out.record_json = std::move(res.records[0]);
   return out;
 }
 
-SubmitResult serve_submit(
-    const std::string& socket_path, const SubmitRequest& req,
-    const std::function<void(const std::string& line)>& on_line) {
-  return serve_submit(Endpoint::unix_path(socket_path), req, on_line);
-}
-
-BatchSubmitResult serve_submit_batch(
-    const Endpoint& endpoint, const std::vector<SubmitRequest>& items,
-    const BatchSubmitOptions& opts,
-    const std::function<void(const std::string& line)>& on_line) {
-  BatchSubmitResult out;
-  int fd = -1;
-  try {
-    fd = connect_endpoint(endpoint);
-  } catch (const Error& e) {
-    out.error = e.what();
-    out.transport_failure = true;
-    return out;
-  }
-  const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
-
-  std::string msg;
-  msg += banner + "\n";
-  msg += "batch\n";
-  msg += opts.use_cache ? "cache on\n" : "cache off\n";
+BatchSubmitResult serve_submit_batch(const Endpoint& endpoint,
+                                     const std::vector<SubmitRequest>& items,
+                                     const BatchSubmitOptions& opts,
+                                     const LineSink& on_line) {
+  std::string body = "batch\n";
+  body += opts.use_cache ? "cache on\n" : "cache off\n";
   if (opts.deadline_ms >= 0)
-    msg += strprintf("deadline-ms %ld\n", opts.deadline_ms);
-  for (const SubmitRequest& req : items) {
-    msg += "item " + req.name + "\n";
-    msg += item_headers(req);
-  }
-  msg += "run\n";
-  if (!send_all(fd, msg.data(), msg.size())) {
-    close_fd(fd);
-    out.error = "connection closed while sending the request";
-    out.transport_failure = true;
-    return out;
-  }
-
-  SocketReader in(fd);
-  std::string line;
-  if (!in.read_line(&line) || line != banner) {
-    close_fd(fd);
-    out.error = "server did not answer with the protocol banner";
-    out.transport_failure = true;
-    return out;
-  }
-  while (in.read_line(&line)) {
-    if (on_line) on_line(line);
-    if (starts_with(line, "error ")) {
-      out.error = line.substr(6);
-      break;
-    }
-    if (starts_with(line, "accepted items=")) {
-      // informational; the stream itself carries the per-item framing
-    } else if (starts_with(line, "item ")) {
-      const std::size_t cache_pos = line.rfind(" cache ");
-      out.cache_statuses.push_back(
-          cache_pos == std::string::npos
-              ? std::string()
-              : line.substr(cache_pos + std::string(" cache ").size()));
-    } else if (starts_with(line, "record ")) {
-      const auto n = parse_whole_number(std::string_view(line).substr(7));
-      std::string record;
-      if (!n || !in.read_exact(&record, *n)) {
-        out.error = n ? "truncated record payload" : "malformed " + line;
-        out.transport_failure = true;
-        break;
-      }
-      std::string newline;
-      in.read_exact(&newline, 1);
-      out.records.push_back(std::move(record));
-    } else if (line == "done") {
-      out.protocol_ok = true;
-      break;
-    } else {
-      out.error = "unexpected response line: " + line;
-      break;
-    }
-  }
-  if (!out.protocol_ok && out.error.empty()) {
-    out.error = "connection closed before 'done'";
-    out.transport_failure = true;
-  }
-  close_fd(fd);
-  return out;
+    body += strprintf("deadline-ms %ld\n", opts.deadline_ms);
+  for (const SubmitRequest& req : items)
+    body += "item " + req.name + "\n" + item_headers(req);
+  body += "run\n";
+  return exchange_items(endpoint, body, on_line);
 }
 
 std::string serve_control(const Endpoint& endpoint, const std::string& verb) {
-  const int fd = connect_endpoint(endpoint);
-  const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
-  const std::string msg = banner + "\n" + verb + "\n";
-  if (!send_all(fd, msg.data(), msg.size())) {
-    close_fd(fd);
-    throw Error("connection closed while sending '" + verb + "'");
-  }
-  SocketReader in(fd);
+  Exchange ex(endpoint, verb + "\n", "'" + verb + "'");
   std::string line;
-  if (!in.read_line(&line) || line != banner) {
-    close_fd(fd);
-    throw Error("server did not answer with the protocol banner");
-  }
-  if (!in.read_line(&line)) {
-    close_fd(fd);
+  if (!ex.read_line(&line))
     throw Error("connection closed before a response to '" + verb + "'");
-  }
-  close_fd(fd);
   return line;
 }
 
-std::string serve_control(const std::string& socket_path,
-                          const std::string& verb) {
-  return serve_control(Endpoint::unix_path(socket_path), verb);
-}
-
 std::string serve_metrics(const Endpoint& endpoint) {
-  const int fd = connect_endpoint(endpoint);
-  const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
-  const std::string msg = banner + "\nstats\n";
-  if (!send_all(fd, msg.data(), msg.size())) {
-    close_fd(fd);
-    throw Error("connection closed while sending 'stats'");
-  }
-  SocketReader in(fd);
+  Exchange ex(endpoint, "stats\n", "'stats'");
   std::string line;
-  if (!in.read_line(&line) || line != banner) {
-    close_fd(fd);
-    throw Error("server did not answer with the protocol banner");
-  }
-  if (!in.read_line(&line) || !starts_with(line, "stats ")) {
-    close_fd(fd);
+  if (!ex.read_line(&line) || !starts_with(line, "stats "))
     throw Error("server did not answer 'stats' with a stats line");
-  }
-  if (!in.read_line(&line) || !starts_with(line, "metrics ")) {
-    close_fd(fd);
+  if (!ex.read_line(&line) || !starts_with(line, "metrics "))
     throw Error("server did not frame a metrics payload");
-  }
-  const auto n = parse_whole_number(std::string_view(line).substr(8));
-  std::string payload;
-  if (!n || !in.read_exact(&payload, *n)) {
-    close_fd(fd);
-    throw Error(n ? "truncated metrics payload" : "malformed " + line);
-  }
-  close_fd(fd);
-  return payload;
+  return ex.payload(line, "metrics");
 }
 
 }  // namespace rtcad

@@ -7,6 +7,15 @@
 // wrapper over FlowService; `rtflow_cli submit` over
 // serve_submit/serve_submit_batch. Tests drive both in-process.
 //
+// One request path serves both item verbs. A `submit` is the one-item
+// `batch`: one reader parses either request (the submission's item is
+// named "<submitted>" and takes no `item` line), one loop answers it, and
+// the verb picks only the framing lines. Each item goes through the same
+// store policy as `batch --cache` (cached_item in flow/cache.hpp). The
+// daemon's only tally is its registry: ServeStats and the `stats` line
+// read the `serve.*` counters back. On the client side one exchange
+// (connect, send, banner check) sits under all four client calls.
+//
 // Wire protocol (line-oriented, LF-terminated, one request per
 // connection, IDENTICAL over both transports; normative reference in
 // docs/CLI.md):
@@ -64,6 +73,10 @@
 //     ... per item, corpus order ...
 //     done
 //
+//   The spec payloads of one request sum to at most
+//   SocketReader::kMaxPayloadBytes; a `spec` size line past what is left
+//   is refused before its payload is read.
+//
 //   Control verbs replace "submit": "ping" -> "pong"; "shutdown" ->
 //   "bye", then the server stops accepting and drains. "stats" -> the
 //   legacy one-line "stats ..." summary, then a framed metrics JSON
@@ -72,10 +85,10 @@
 //   request gets "error <message>" and the connection is closed; the
 //   server survives.
 //
-// Scheduling: at most ThreadBudget::corpus submissions run their flow
+// Scheduling: at most ThreadBudget::corpus items run their flow
 // concurrently (a counting gate, FIFO-fair by arrival at the gate); the
 // graph and candidate levels of the budget apply inside each request's
-// pipeline, exactly as in a batch. Batch-verb items run sequentially on
+// pipeline, exactly as in a batch. A request's items run sequentially on
 // their connection, each taking one gate slot — concurrency comes from
 // concurrent connections. A request whose deadline fires — or whose
 // client disconnects mid-stream — is cancelled cooperatively and
@@ -115,18 +128,17 @@ struct ServeOptions {
   /// When > 0, the store is LRU-pruned back under this many bytes after
   /// each miss is persisted; the just-written entry is never evicted.
   std::uintmax_t cache_max_bytes = 0;
-  /// Hard cap on accepted specification size (a daemon still refuses to
-  /// buffer absurd submissions).
-  std::size_t max_spec_bytes = std::size_t{16} << 20;
 };
 
+/// The daemon's tally, read from its registry's `serve.*` counters (the
+/// field comments name each one).
 struct ServeStats {
-  long long requests = 0;        ///< submissions accepted (batch: per item)
-  long long cache_hits = 0;
-  long long cache_misses = 0;
-  long long cancelled = 0;       ///< submissions that ended cancelled
-  long long protocol_errors = 0;
-  long long evicted = 0;         ///< entries pruned by --cache-max-bytes
+  long long requests = 0;        ///< serve.submit_total: items served
+  long long cache_hits = 0;      ///< serve.cache_hit_total
+  long long cache_misses = 0;    ///< serve.cache_miss_total
+  long long cancelled = 0;       ///< serve.cancelled_total
+  long long protocol_errors = 0; ///< serve.protocol_error_total
+  long long evicted = 0;         ///< serve.cache_evict_total
 };
 
 class MetricsRegistry;
@@ -162,8 +174,8 @@ class FlowService {
   /// no TCP listener is configured / the service has not started.
   int tcp_port() const;
   /// The server's metrics registry (counters/gauges/histograms fed by
-  /// the submit, cache and stage paths). Valid for the service's
-  /// lifetime; thread-safe.
+  /// the request path and by each run's on_stage observer). Valid for
+  /// the service's lifetime; thread-safe.
   MetricsRegistry& metrics();
 
  private:
@@ -206,11 +218,6 @@ SubmitResult serve_submit(
     const Endpoint& endpoint, const SubmitRequest& req,
     const std::function<void(const std::string& line)>& on_line = {});
 
-/// Back-compat convenience: submit over the Unix socket at `socket_path`.
-SubmitResult serve_submit(
-    const std::string& socket_path, const SubmitRequest& req,
-    const std::function<void(const std::string& line)>& on_line = {});
-
 /// Whole-batch options carried by the `batch` verb (per-item fields ride
 /// on each SubmitRequest; its deadline_ms/use_cache are ignored).
 struct BatchSubmitOptions {
@@ -238,8 +245,6 @@ BatchSubmitResult serve_submit_batch(
 /// Send a control verb ("ping", "stats", "shutdown"); returns the first
 /// response line. Throws Error when the endpoint cannot be reached.
 std::string serve_control(const Endpoint& endpoint, const std::string& verb);
-std::string serve_control(const std::string& socket_path,
-                          const std::string& verb);
 
 /// Fetch the daemon's metrics snapshot: the framed JSON payload of the
 /// extended "stats" response (deterministic schema; see docs/CLI.md).

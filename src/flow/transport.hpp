@@ -146,6 +146,10 @@ class SocketReader {
   /// header or response line; spec and record payloads are framed by byte
   /// counts and never read as lines.
   static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+  /// Most framed payload bytes one request may carry, summed over its
+  /// spec payloads. The daemon refuses a size line past what is left
+  /// before it reads the payload, so one request buffers at most this.
+  static constexpr std::size_t kMaxPayloadBytes = std::size_t{16} << 20;
 
   explicit SocketReader(int fd) : fd_(fd) {}
 

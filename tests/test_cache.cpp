@@ -1,7 +1,9 @@
 // The content-addressed result cache: key sensitivity (spec bytes, result-
 // shaping options, code-version stamp), hit-vs-fresh byte identity across
-// the built-in corpus, loud rejection of damaged entries, and the
-// cancelled/load-error storage policy.
+// the built-in corpus, loud rejection of damaged entries, the
+// cancelled/load-error storage policy, and the cached_item() kernel under
+// both run_batch_cached and the serve daemon (lookup order, stored-name
+// check).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -233,6 +235,68 @@ TEST_F(CacheTest, LoadErrorItemsBypassTheCache) {
   EXPECT_EQ(stats.hits + stats.misses + stats.stores, 0)
       << "no spec bytes to key";
   EXPECT_EQ(cache.scan().entries, 0u);
+}
+
+TEST_F(CacheTest, CachedItemReportsTheLookupBeforeItRuns) {
+  const ResultCache cache(dir_);
+  const BatchSpec spec = celement_item();
+  const std::string key = cache_key(spec);
+  std::vector<std::string> events;
+  const auto run = [&] {
+    events.push_back("run");
+    return run_batch_item(spec, {});
+  };
+  const auto on_lookup = [&](bool hit) {
+    events.push_back(hit ? "hit" : "miss");
+  };
+
+  const CachedItem miss = cached_item(cache, key, spec.name, run, on_lookup);
+  EXPECT_FALSE(miss.hit);
+  EXPECT_TRUE(miss.stored);
+  const CachedItem hit = cached_item(cache, key, spec.name, run, on_lookup);
+  EXPECT_TRUE(hit.hit);
+  EXPECT_FALSE(hit.stored);
+  EXPECT_EQ(item_record_json(hit.result), item_record_json(miss.result));
+  EXPECT_EQ(events, (std::vector<std::string>{"miss", "run", "hit"}));
+}
+
+TEST_F(CacheTest, EntryNamingAnotherItemIsRejected) {
+  // B's record stored under A's key: the entry's digest is valid, but
+  // serving it would hand A's caller a record named B.
+  const ResultCache cache(dir_);
+  BatchSpec a = celement_item();
+  a.name = "A";
+  BatchSpec b = celement_item();
+  b.name = "B";
+  const std::string key = cache_key(a);
+  cache.store(key, run_batch_item(b, {}));
+  const std::string want = "cache entry '" + cache.entry_path(key) +
+                           "': stored name 'B' does not match item 'A'";
+
+  try {
+    run_batch_cached({a}, {}, cache);
+    ADD_FAILURE() << "a foreign record was served";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+
+  // The kernel refuses it before reporting a lookup or running anything.
+  bool reported = false;
+  bool ran = false;
+  try {
+    cached_item(
+        cache, key, "A",
+        [&] {
+          ran = true;
+          return BatchItemResult{};
+        },
+        [&](bool) { reported = true; });
+    ADD_FAILURE() << "a foreign record was served";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  EXPECT_FALSE(reported);
+  EXPECT_FALSE(ran);
 }
 
 // --- LRU pruning ------------------------------------------------------------

@@ -1,8 +1,9 @@
 // The serving daemon, driven in-process over a real Unix-domain socket:
 // submit/record byte parity with the batch engine, cache hit/miss
 // behavior, byte-stable cancelled errors for per-request deadlines,
-// control verbs, protocol-error containment (bounded request lines
-// included), and concurrent submissions.
+// control verbs, protocol-error containment (bounded request lines and
+// request payloads included), the store's stored-name check on both
+// verbs, one source for the counters, and concurrent submissions.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -60,7 +61,9 @@ class ServeTest : public ::testing::Test {
     service_.reset();
     fs::remove_all(base_);
   }
-  std::string socket() const { return service_->socket_path(); }
+  Endpoint socket() const {
+    return Endpoint::unix_path(service_->socket_path());
+  }
   Endpoint tcp() const {
     return Endpoint::tcp("127.0.0.1", service_->tcp_port());
   }
@@ -77,15 +80,20 @@ SubmitRequest celement_request() {
   return req;
 }
 
-/// The record the batch engine would emit for the same submission.
-std::string reference_record(const SubmitRequest& req) {
+/// The batch item the daemon assembles from a submission.
+BatchSpec batch_item(const SubmitRequest& req) {
   BatchSpec item;
   item.name = req.name;
   item.opts.mode = req.mode;
   if (req.max_states > 0) item.opts.sg.max_states = req.max_states;
   item.opts.stop_after = req.stop_after;
   item.spec = parse_stg_string(req.spec_text, req.name);
-  return item_record_json(run_batch_item(item, {}));
+  return item;
+}
+
+/// The record the batch engine would emit for the same submission.
+std::string reference_record(const SubmitRequest& req) {
+  return item_record_json(run_batch_item(batch_item(req), {}));
 }
 
 TEST_F(ServeTest, SubmitReturnsTheExactBatchRecordBytes) {
@@ -210,7 +218,7 @@ std::string raw_submit(const std::string& header,
 
 /// serve_control sends its verb verbatim, so it doubles as a raw client:
 /// the answer's first line after the banner comes back.
-void expect_rejected(const std::string& socket, const std::string& request) {
+void expect_rejected(const Endpoint& socket, const std::string& request) {
   const std::string first = serve_control(socket, request);
   EXPECT_EQ(first.rfind("error ", 0), 0u) << first << " <- " << request;
 }
@@ -261,7 +269,7 @@ TEST_F(ServeTest, OverlongRequestLineIsRejectedAndClosed) {
   // the bound the daemon waits for the newline and the receive timeout
   // below expires.
   start(/*with_cache=*/false);
-  const int fd = connect_endpoint(Endpoint::unix_path(socket()));
+  const int fd = connect_endpoint(socket());
   const timeval timeout{10, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
@@ -470,6 +478,82 @@ TEST_F(ServeTest, EmptyBatchIsAContainedProtocolError) {
   EXPECT_EQ(service_->stats().protocol_errors, 1);
 }
 
+TEST_F(ServeTest, StoredEntryNamingAnotherItemIsAnErrorOnBothVerbs) {
+  start(/*with_cache=*/true);
+  SubmitRequest a = celement_request();
+  a.name = "A";
+  SubmitRequest b = celement_request();
+  b.name = "B";
+  // B's record under A's key: the entry's digest is valid, but it is not
+  // A's answer. Both verbs share `batch --cache`'s refusal.
+  const ResultCache store(base_ + "/store");
+  const std::string key = cache_key(batch_item(a));
+  store.store(key, run_batch_item(batch_item(b), {}));
+  const std::string want = "cache entry '" + store.entry_path(key) +
+                           "': stored name 'B' does not match item 'A'";
+
+  const SubmitResult one = serve_submit(socket(), a);
+  EXPECT_FALSE(one.protocol_ok);
+  EXPECT_FALSE(one.transport_failure) << "a served error is an answer";
+  EXPECT_EQ(one.key, key);
+  EXPECT_EQ(one.error, want);
+  EXPECT_TRUE(one.record_json.empty());
+
+  const BatchSubmitResult many = serve_submit_batch(socket(), {a});
+  EXPECT_FALSE(many.protocol_ok);
+  EXPECT_FALSE(many.transport_failure);
+  EXPECT_EQ(many.error, want);
+  EXPECT_TRUE(many.records.empty());
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+}
+
+TEST_F(ServeTest, OneRequestsPayloadsShareOneCap) {
+  // Each spec fits the cap alone, but one request's payloads are capped
+  // as a sum: the second size line is refused before its payload is
+  // read. The payload is never sent, so an answer within the timeout
+  // proves the daemon did not wait for it.
+  start(/*with_cache=*/false);
+  const std::size_t size = std::size_t{9} << 20;
+  ASSERT_LT(size, SocketReader::kMaxPayloadBytes);
+  const int fd = connect_endpoint(socket());
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+  const std::string banner = "rtflow-serve " + std::to_string(kServeProtocol);
+  const std::string request = banner + "\nbatch\nitem a\nspec " +
+                              std::to_string(size) + "\n" +
+                              std::string(size, 'x') + "\nitem b\nspec " +
+                              std::to_string(size) + "\n";
+  ASSERT_TRUE(send_all(fd, request.data(), request.size()));
+  SocketReader in(fd);
+  std::string line;
+  ASSERT_TRUE(in.read_line(&line)) << "no answer within the timeout";
+  EXPECT_EQ(line, banner);
+  ASSERT_TRUE(in.read_line(&line)) << "no answer within the timeout";
+  EXPECT_EQ(line, "error spec must be a whole number in [0, " +
+                      std::to_string(SocketReader::kMaxPayloadBytes - size) +
+                      "]");
+  ::close(fd);
+  EXPECT_EQ(service_->stats().protocol_errors, 1);
+  EXPECT_EQ(service_->stats().requests, 0);
+  EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+
+  // A whole corpus stays far under the cap and runs.
+  std::vector<SubmitRequest> corpus;
+  for (const BatchSpec& item : builtin_corpus()) {
+    SubmitRequest req;
+    req.name = item.name;
+    req.spec_text = write_stg(item.spec);
+    req.mode = item.opts.mode;
+    corpus.push_back(std::move(req));
+  }
+  const BatchSubmitResult res = serve_submit_batch(socket(), corpus);
+  ASSERT_TRUE(res.protocol_ok) << res.error;
+  ASSERT_EQ(res.records.size(), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i)
+    EXPECT_EQ(res.records[i], reference_record(corpus[i])) << corpus[i].name;
+}
+
 // --- the metrics surface ----------------------------------------------------
 
 /// Drive an identical workload on a fresh daemon and return its metrics
@@ -579,6 +663,57 @@ TEST_F(ServeTest, ExtendedStatsKeepsTheLegacyFirstLine) {
   EXPECT_EQ(json_require_int(counters, "serve.submit_total", "metrics"), 1);
 }
 
+/// Counter `name` of a metrics snapshot; 0 when it was never created.
+long long snapshot_counter(const Json& snapshot, const std::string& name) {
+  const Json* c = json_require(snapshot, "counters", "metrics").find(name);
+  return c ? static_cast<long long>(c->number) : 0;
+}
+
+TEST_F(ServeTest, CountersHaveOneSource) {
+  start(/*with_cache=*/true);
+  // Reading the tally creates no instrument: "stats" on a fresh daemon
+  // leaves the snapshot empty.
+  serve_control(socket(), "stats");
+  const Json fresh = parse_json(serve_metrics(socket()), "metrics");
+  EXPECT_TRUE(json_require(fresh, "counters", "metrics").obj.empty());
+  EXPECT_TRUE(json_require(fresh, "gauges", "metrics").obj.empty());
+
+  // A miss, a hit, a cancellation (a miss too) and a protocol error.
+  const SubmitRequest req = celement_request();
+  EXPECT_EQ(serve_submit(socket(), req).cache_status, "miss");
+  EXPECT_EQ(serve_submit(socket(), req).cache_status, "hit");
+  SubmitRequest expired = req;
+  expired.name = "expired";
+  expired.deadline_ms = 0;
+  EXPECT_EQ(serve_submit(socket(), expired).cache_status, "miss");
+  expect_rejected(socket(), "frobnicate");
+
+  const ServeStats s = service_->stats();
+  EXPECT_EQ(s.requests, 3);
+  EXPECT_EQ(s.cache_hits, 1);
+  EXPECT_EQ(s.cache_misses, 2);
+  EXPECT_EQ(s.cancelled, 1);
+  EXPECT_EQ(s.protocol_errors, 1);
+  EXPECT_EQ(s.evicted, 0);
+  EXPECT_EQ(serve_control(socket(), "stats"),
+            "stats requests=" + std::to_string(s.requests) +
+                " cache_hits=" + std::to_string(s.cache_hits) +
+                " cache_misses=" + std::to_string(s.cache_misses) +
+                " cancelled=" + std::to_string(s.cancelled) +
+                " protocol_errors=" + std::to_string(s.protocol_errors) +
+                " active=0 evicted=" + std::to_string(s.evicted));
+  const Json snapshot = parse_json(serve_metrics(socket()), "metrics");
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.submit_total"), s.requests);
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.cache_hit_total"),
+            s.cache_hits);
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.cache_miss_total"),
+            s.cache_misses);
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.cancelled_total"), s.cancelled);
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.protocol_error_total"),
+            s.protocol_errors);
+  EXPECT_EQ(snapshot_counter(snapshot, "serve.cache_evict_total"), s.evicted);
+}
+
 TEST(Serve, StartRefusesALiveSocketAndReplacesAStaleOne) {
   const std::string base =
       (fs::temp_directory_path() /
@@ -599,7 +734,8 @@ TEST(Serve, StartRefusesALiveSocketAndReplacesAStaleOne) {
   // After a stop (or crash) the socket file is stale; binding succeeds.
   FlowService third{ServeOptions{opts}};
   third.start();
-  EXPECT_EQ(serve_control(third.socket_path(), "ping"), "pong");
+  EXPECT_EQ(serve_control(Endpoint::unix_path(third.socket_path()), "ping"),
+            "pong");
   third.stop();
   fs::remove_all(base);
 }

@@ -998,6 +998,26 @@ Result submit_with_retries(
   }
 }
 
+/// The tail both forms of `submit` share: parse each served record into
+/// its corpus slot, then write the batch envelope — byte-identical to
+/// `run`/`batch` over the same specs — and return batch's exit code.
+int write_served(const CliOptions& o, std::vector<BatchItemResult> items,
+                 const std::vector<std::string>& records,
+                 const std::vector<std::size_t>& slots) {
+  for (std::size_t w = 0; w < records.size(); ++w) {
+    try {
+      items[slots[w]] = parse_item_record_json(records[w]);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s submit: malformed record from server: %s\n",
+                   o.prog, e.what());
+      return 1;
+    }
+  }
+  const BatchResult result = tally(std::move(items));
+  if (!write_output(o.prog, o.out_path, to_json(result))) return 1;
+  return result.failed_count == 0 ? 0 : 1;
+}
+
 /// submit with a multi-spec corpus: stream the whole set through the
 /// `batch` verb on one connection and reassemble the canonical batch
 /// envelope — byte-identical to `rtflow_cli batch` over the same corpus.
@@ -1008,13 +1028,12 @@ int submit_batch(const CliOptions& o, const Endpoint& endpoint) {
   const std::vector<BatchSpec> corpus = build_corpus(o);
   std::vector<SubmitRequest> wire_items;
   std::vector<std::size_t> wire_to_corpus;
-  BatchResult result;
-  result.items.resize(corpus.size());
+  std::vector<BatchItemResult> items(corpus.size());
   FlowContext local_ctx;  // only renders load-error diagnostics
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const BatchSpec& item = corpus[i];
     if (item.load_error) {
-      result.items[i] = run_batch_item(item, local_ctx);
+      items[i] = run_batch_item(item, local_ctx);
       continue;
     }
     SubmitRequest req;
@@ -1050,20 +1069,8 @@ int submit_batch(const CliOptions& o, const Endpoint& endpoint) {
                    o.prog, res.records.size(), wire_items.size());
       return 1;
     }
-    for (std::size_t w = 0; w < res.records.size(); ++w) {
-      try {
-        result.items[wire_to_corpus[w]] =
-            parse_item_record_json(res.records[w]);
-      } catch (const Error& e) {
-        std::fprintf(stderr, "%s submit: malformed record from server: %s\n",
-                     o.prog, e.what());
-        return 1;
-      }
-    }
   }
-  result = tally(std::move(result.items));
-  if (!write_output(o.prog, o.out_path, to_json(result))) return 1;
-  return result.failed_count == 0 ? 0 : 1;
+  return write_served(o, std::move(items), res.records, wire_to_corpus);
 }
 
 int cmd_submit(const CliOptions& o) {
@@ -1071,6 +1078,7 @@ int cmd_submit(const CliOptions& o) {
   if (!endpoint) return 2;
   // Multiple --spec files (or --corpus builtin) go through the `batch`
   // verb: one connection, one record streamed per item in corpus order.
+  // One spec keeps the `submit` verb, which streams its stage lines.
   if (o.use_builtin || o.spec_files.size() > 1)
     return submit_batch(o, *endpoint);
   if (o.spec_files.size() != 1)
@@ -1106,20 +1114,8 @@ int cmd_submit(const CliOptions& o) {
     std::fprintf(stderr, "%s submit: %s\n", o.prog, res.error.c_str());
     return 1;
   }
-  // Re-wrap the streamed record into the one-item batch envelope: the
-  // output is byte-identical to `run` with the same spec and flags.
-  BatchResult result;
-  result.items.resize(1);
-  try {
-    result.items[0] = parse_item_record_json(res.record_json);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s submit: malformed record from server: %s\n",
-                 o.prog, e.what());
-    return 1;
-  }
-  (result.items[0].ok ? result.ok_count : result.failed_count) += 1;
-  if (!write_output(o.prog, o.out_path, to_json(result))) return 1;
-  return result.failed_count == 0 ? 0 : 1;
+  return write_served(o, std::vector<BatchItemResult>(1), {res.record_json},
+                      {0});
 }
 
 int cmd_metrics(const CliOptions& o) {
